@@ -75,6 +75,88 @@ let scorer_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Bit-identity golden: the mirror's full output and every static bound *)
+
+(* Digest of everything [Absint.analyze] returns: status, step count,
+   poison set, and each sample's key, value bits and per-atom error bits
+   in ascending atom order. *)
+let analysis_digest (r : Sensitivity.Absint.result option) =
+  let b = Buffer.create 4096 in
+  let bits x = Buffer.add_string b (Printf.sprintf "%Lx;" (Int64.bits_of_float x)) in
+  (match r with
+  | None -> Buffer.add_string b "none"
+  | Some r ->
+    Buffer.add_string b
+      (match r.Sensitivity.Absint.r_status with
+      | Sensitivity.Absint.Finished -> "finished"
+      | Sensitivity.Absint.Stopped m -> "stopped:" ^ m
+      | Sensitivity.Absint.Runtime_error m -> "error:" ^ m);
+    Buffer.add_string b (Printf.sprintf "|%d|" r.Sensitivity.Absint.r_steps);
+    Array.iter (fun p -> Buffer.add_char b (if p then '1' else '0')) r.r_poisoned;
+    List.iter
+      (fun (s : Sensitivity.Absint.sample) ->
+        Buffer.add_string b ("\n" ^ s.s_key ^ "=");
+        bits s.s_value;
+        Sensitivity.Absint.IMap.iter
+          (fun a e ->
+            Buffer.add_string b (string_of_int a ^ ":");
+            bits e)
+          s.s_err)
+      r.r_samples);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Digest of every demotable atom's [Score.atom_bound] under predict rank. *)
+let bounds_digest (p : Core.Tuner.prepared) =
+  let sc =
+    match p.Core.Tuner.scorer with
+    | Some sc -> sc
+    | None -> Alcotest.fail "predict rank built no scorer"
+  in
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (a : Transform.Assignment.atom) ->
+      Buffer.add_string b (a.Transform.Assignment.a_name ^ "=");
+      Buffer.add_string b
+        (match Sensitivity.Score.atom_bound sc a with
+        | Some x -> Printf.sprintf "%Lx;" (Int64.bits_of_float x)
+        | None -> "none;"))
+    p.Core.Tuner.atoms;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (model, analysis digest, bounds digest), recorded on the IMap-based
+   error algebra; any change to the error kernels must leave them as is *)
+let goldens =
+  [
+    ("mpas", "296c83f7931ad181f9bc4a26320672f1",
+     "2fed9db58cb7f7e35b7bfa3cd4baaad0");
+    ("adcirc", "364d8f9400da022f75a5f17a8236daf5",
+     "dac950afbdc4404870e6c3855a97a13e");
+    ("mom6", "dfabde7c9f2d1e006355cafb37a88655",
+     "74ac204c42af38e07b2099bd3864ac9a");
+    ("funarc", "1017035571920f43ed2cb8a983d95341",
+     "fbec704f174c9c57af4a4ce0132188af");
+    ("lulesh", "bf058ec822d3f9552d1122e5e48be721",
+     "4a06d020a169d0491010b0f8a23fa83f");
+    ("mpas_joint", "fb19682239c1a0a43155dc5eb46b13b5",
+     "5d93fee0ce1288f12b21204868b38822");
+  ]
+
+let golden_tests =
+  List.map
+    (fun (name, want_analysis, want_bounds) ->
+      Alcotest.test_case ("bit-identical mirror output on " ^ name) `Quick (fun () ->
+          let config = with_predict Core.Config.Predict_rank Core.Config.default in
+          let p = Core.Tuner.prepare ~config (Models.Registry.find name) in
+          let got_bounds = bounds_digest p in
+          let got_analysis =
+            analysis_digest
+              (Sensitivity.Absint.analyze ~atoms:p.Core.Tuner.atoms p.Core.Tuner.st)
+          in
+          Alcotest.(check string) "analysis digest" want_analysis got_analysis;
+          Alcotest.(check string) "bounds digest" want_bounds got_bounds))
+    goldens
+
+(* ------------------------------------------------------------------ *)
 (* The evidence engine                                                 *)
 
 let rank_engine_tests =
@@ -379,6 +461,7 @@ let () =
   Alcotest.run "sensitivity"
     [
       ("scorer", scorer_tests);
+      ("golden", golden_tests);
       ("rank engine", rank_engine_tests);
       ("campaigns", campaign_tests);
       ("holdout", holdout_tests);
