@@ -1,7 +1,8 @@
 (* Per-model profiling harness: ms and minor words per evaluation on
    the compiled and lowered backends (usage: profile.exe MODEL [N]),
    followed by per-variant pipeline phase timings with warm caches —
-   the configuration a search campaign actually runs. *)
+   the configuration a search campaign actually runs — and one run of
+   the sensitivity layer's mirror analysis. *)
 let () =
   let name = try Sys.argv.(1) with _ -> "mpas" in
   let n = try int_of_string Sys.argv.(2) with _ -> 100 in
@@ -49,4 +50,19 @@ let () =
         Runtime.Lower.lower ~cache ~machine
           ~wrapper_owner:(Transform.Wrappers.owner_fn w) st')
   in
-  ignore (phase "compile" (fun () -> Runtime.Compile.compile ~cache:ccache ir'))
+  ignore (phase "compile" (fun () -> Runtime.Compile.compile ~cache:ccache ir'));
+  (* the sensitivity layer: one Absint run over the original program, the
+     bulk of Score.create; minor words per step is its deterministic cost *)
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  let r = Sensitivity.Absint.analyze ~atoms:p.Core.Tuner.atoms st in
+  let dt = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
+  match r with
+  | None -> Printf.printf "sensitivity: analysis declined (%.1f ms)\n" (1000.0 *. dt)
+  | Some r ->
+    let steps = r.Sensitivity.Absint.r_steps in
+    Printf.printf "sensitivity: analyze %.1f ms, %d steps, %.1f minor words/step (%.0f total)\n"
+      (1000.0 *. dt) steps
+      (words /. float_of_int (max 1 steps))
+      words

@@ -32,7 +32,6 @@ open Fortran
 module Value = Runtime.Value
 module Fp32 = Runtime.Fp32
 module IMap = Map.Make (Int)
-module ISet = Set.Make (Int)
 
 type status = Finished | Stopped of string | Runtime_error of string
 
@@ -56,43 +55,47 @@ exception Trap of string
 
 let trap fmt = Format.kasprintf (fun m -> raise (Trap m)) fmt
 
-(* one f32 ulp at 1.0 (the interpreter's epsilon(kind=4)), doubled in the
-   rounding update so double roundings and directed modes are absorbed *)
 let eps32 = 1.1920928955078125e-07
-let eps64 = epsilon_float
-
-(* smallest positive subnormal at each kind: the relative model
-   [err <= 2 eps |v|] is vacuous once |v| sinks under the normal range —
-   rounding tiny(kind=8) to f32 flushes it to zero, an absolute error of
-   ~2.2e-308 that no multiple of eps32*|v| covers.  An absolute floor of
-   one subnormal ulp restores the bound (for normal |v| the relative term
-   already dominates it). *)
 let sub32 = 0x1p-149
-let sub64 = 0x1p-1074
 
 (* ------------------------------------------------------------------ *)
 (* Abstract values                                                     *)
 
 type av = {
   c : Value.v;  (* the concrete (baseline) value, bit-exact vs Interp *)
-  err : float IMap.t;  (* per-atom absolute-error bound *)
-  kt : ISet.t;  (* atoms whose demotion may change this value's kind *)
+  err : Errvec.t;  (* per-atom absolute-error bound *)
+  kt : int array;  (* sorted atoms whose demotion may change this value's kind *)
 }
 
-let pure c = { c; err = IMap.empty; kt = ISet.empty }
+let pure c = { c; err = Errvec.empty; kt = Errvec.no_atoms }
 
 type cell =
   | Scalar of av ref  (* kt is never stored: it is a property of the binding *)
   | Real_array of {
       kind : Ast.real_kind;
       data : float array;
-      errs : float IMap.t array;
+      errs : Errvec.t array;
       dims : int array;
     }
   | Int_array of { data : int array; dims : int array }
   | Log_array of { data : bool array; dims : int array }
 
-type frame = { proc : string option; vars : (string, cell) Hashtbl.t }
+(* What a name denotes when referenced from one procedure (or the main
+   program): the symtab entry, the global cell of a module variable, and
+   the owning atom. Static per scope, so it is resolved once per scope
+   rather than once per access. *)
+type nonlocal = {
+  n_info : Symtab.var_info option;
+  n_cell : cell option;
+  n_atom : int option;
+}
+
+type scope = {
+  names : (string, nonlocal) Hashtbl.t;
+  local_atoms : (string, int option) Hashtbl.t;  (* atoms of dummies and locals *)
+}
+
+type frame = { proc : string option; vars : (string, cell) Hashtbl.t; scope : scope }
 
 type ctx = {
   st : Symtab.t;
@@ -109,11 +112,16 @@ type ctx = {
   max_steps : int;
   globals : (string, cell) Hashtbl.t;
   params : (string, av) Hashtbl.t;
+  main_scope : scope;
+  proc_scopes : (string, scope) Hashtbl.t;
   mutable samples : sample list;  (* reversed *)
   mutable depth : int;
 }
 
 let poison ctx a = ctx.poisoned.(a) <- true
+
+(* the public sample form, built once per printed sample *)
+let to_map err = Errvec.fold IMap.add err IMap.empty
 
 let step ctx =
   ctx.steps <- ctx.steps + 1;
@@ -156,7 +164,7 @@ let int_stable f v e = e = 0.0 || (Float.is_finite e && f (v -. e) = f (v +. e))
 let as_int_conv ctx f (v : av) =
   (match v.c with
   | Value.Vreal (x, _) ->
-    IMap.iter (fun a e -> if not (int_stable f x e) then poison ctx a) v.err
+    Errvec.iter (fun a e -> if not (int_stable f x e) then poison ctx a) v.err
   | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> ());
   match v.c with
   | Value.Vint i -> i
@@ -166,45 +174,15 @@ let as_int_conv ctx f (v : av) =
 let as_int ctx v = as_int_conv ctx (fun x -> int_of_float x) v
 
 (* ------------------------------------------------------------------ *)
-(* The error algebra                                                   *)
-
-let get a m = Option.value ~default:0.0 (IMap.find_opt a m)
-
-(* drop exact-zero entries so maps stay sparse *)
-let put a e m = if e = 0.0 then m else IMap.add a e m
-
-(* rounding update at epsilon [eps] for a result of magnitude |v|;
-   overflow past [cap] means the demoted run may trap where the baseline
-   did not — poison and keep a finite heuristic *)
-let round_entry ctx ~eps ~cap a v e =
-  let sub = if eps = eps32 then sub32 else sub64 in
-  let m = Float.abs v +. e in
-  let round = if m = 0.0 then 0.0 else Float.max (2.0 *. eps *. m) sub in
-  let e' = (e *. (1.0 +. (2.0 *. eps))) +. round in
-  if (not (Float.is_finite e')) || Float.abs v +. e' >= cap then begin
-    poison ctx a;
-    if Float.is_finite e' then e' else Float.abs v +. cap
-  end
-  else e'
-
-let f32_cap = Fp32.max_finite
-let f64_cap = max_float
+(* The error algebra: kernels live in {!Errvec}                        *)
 
 (* apply the post-operation rounding at baseline kind [k] to every entry,
    plus an extra f32 rounding for kind-tainted atoms when the baseline
    computed in 64-bit (their run may compute this operation in 32-bit) *)
-let round_err ctx k v err kt =
-  match k with
-  | Ast.K4 ->
-    IMap.mapi (fun a e -> round_entry ctx ~eps:eps32 ~cap:f32_cap a v e) err
-  | Ast.K8 ->
-    let err = IMap.mapi (fun a e -> round_entry ctx ~eps:eps64 ~cap:f64_cap a v e) err in
-    ISet.fold
-      (fun a err -> put a (round_entry ctx ~eps:eps32 ~cap:f32_cap a v (get a err)) err)
-      kt err
+let round_err ctx k v err kt = Errvec.round ctx.poisoned ~narrow:(k = Ast.K4) v err kt
 
 (* mirror of Interp.mk_real: round the concrete value at kind [k], trap on
-   NaN/overflow, and attach the rounded error map *)
+   NaN/overflow, and attach the rounded error vector *)
 let mk_areal ctx k x err kt =
   let x' = Fp32.of_kind k x in
   if not (Float.is_finite x') then
@@ -213,40 +191,9 @@ let mk_areal ctx k x err kt =
     else trap "overflow in real(kind=%d) arithmetic" (Token.int_of_kind k);
   { c = Value.Vreal (x', k); err = round_err ctx k x' err kt; kt }
 
-let merge_err f ex ey =
-  IMap.merge
-    (fun _ a b -> Some (f (Option.value ~default:0.0 a) (Option.value ~default:0.0 b)))
-    ex ey
-
-(* |x'y' - xy| <= |y| ex + |x| ey + ex ey *)
-let mul_err x y = merge_err (fun ex ey -> (Float.abs y *. ex) +. (Float.abs x *. ey) +. (ex *. ey))
-
-(* |x'/y' - x/y| <= (|y| ex + |x| ey + ex ey) / (|y| (|y| - ey));
-   a divisor interval reaching zero is a trap/Inf divergence: poison *)
-let div_err ctx x y ex ey =
-  merge_err
-    (fun ex ey ->
-      let ay = Float.abs y in
-      let denom = ay -. ey in
-      let num = (ay *. ex) +. (Float.abs x *. ey) +. (ex *. ey) in
-      if denom <= 0.0 then num /. Float.max (ay *. ay) 1e-300 (* finite heuristic *)
-      else num /. (ay *. denom))
-    ex ey
-  |> fun merged ->
-  (* the merge closure cannot see which atom it serves: a divisor interval
-     reaching zero is poisoned here, with atom identities in hand *)
-  IMap.iter
-    (fun a ey_a -> if ey_a > 0.0 && Float.abs y -. ey_a <= 0.0 then poison ctx a)
-    ey;
-  merged
-
 (* comparison stability: if atom [a]'s joint interval can bridge the gap
    between x and y, run-a may take the other branch *)
-let compare_guard ctx x y ex ey =
-  let gap = Float.abs (x -. y) in
-  let check a e = if e > 0.0 && e >= gap then poison ctx a in
-  IMap.iter (fun a e -> check a (e +. get a ey)) ex;
-  IMap.iter (fun a e -> check a (e +. get a ex)) ey
+let compare_guard ctx x y ex ey = Errvec.compare_guard ctx.poisoned ~gap:(Float.abs (x -. y)) ex ey
 
 (* ------------------------------------------------------------------ *)
 (* Storage                                                             *)
@@ -268,21 +215,63 @@ let alloc_cell (base : Ast.base_type) (extents : int list) : cell =
     if n < 0 || n > 50_000_000 then trap "array allocation of %d elements refused" n;
     (match base with
     | Ast.Treal kind ->
-      Real_array { kind; data = Array.make n 0.0; errs = Array.make n IMap.empty; dims }
+      Real_array { kind; data = Array.make n 0.0; errs = Array.make n Errvec.empty; dims }
     | Ast.Tinteger -> Int_array { data = Array.make n 0; dims }
     | Ast.Tlogical -> Log_array { data = Array.make n false; dims })
+
+let new_scope () = { names = Hashtbl.create 32; local_atoms = Hashtbl.create 16 }
+
+let new_frame ctx proc size =
+  let scope =
+    match proc with
+    | None -> ctx.main_scope
+    | Some p -> (
+      match Hashtbl.find_opt ctx.proc_scopes p with
+      | Some s -> s
+      | None ->
+        let s = new_scope () in
+        Hashtbl.replace ctx.proc_scopes p s;
+        s)
+  in
+  { proc; vars = Hashtbl.create size; scope }
+
+(* [name] as the symtab resolves it from [frame]'s procedure, memoized
+   per scope; a module variable whose cell is missing is not memoized, so
+   the access traps as it would uncached *)
+let nonlocal ctx frame name =
+  match Hashtbl.find_opt frame.scope.names name with
+  | Some n -> n
+  | None ->
+    let n_info = Symtab.lookup_var ctx.st ~in_proc:frame.proc name in
+    let n_cell =
+      match n_info with
+      | Some { Symtab.v_scope = Symtab.Unit_scope u; v_parameter = false; _ } ->
+        Hashtbl.find_opt ctx.globals (global_key u name)
+      | Some _ | None -> None
+    in
+    let n_atom =
+      Option.bind n_info (fun info -> ctx.atom_of (info.Symtab.v_scope, info.Symtab.v_name))
+    in
+    let n = { n_info; n_cell; n_atom } in
+    (match (n_info, n_cell) with
+    | Some { Symtab.v_scope = Symtab.Unit_scope _; v_parameter = false; _ }, None -> ()
+    | _ -> Hashtbl.replace frame.scope.names name n);
+    n
 
 (* the atom owning a binding as named in [frame] (dummies and locals live
    in the procedure scope; everything else resolves through the symtab) *)
 let binding_atom ctx frame name =
   if Hashtbl.mem frame.vars name then
     match frame.proc with
-    | Some p -> ctx.atom_of (Symtab.Proc_scope p, name)
+    | Some p -> (
+      match Hashtbl.find_opt frame.scope.local_atoms name with
+      | Some a -> a
+      | None ->
+        let a = ctx.atom_of (Symtab.Proc_scope p, name) in
+        Hashtbl.replace frame.scope.local_atoms name a;
+        a)
     | None -> None
-  else
-    match Symtab.lookup_var ctx.st ~in_proc:frame.proc name with
-    | Some info -> ctx.atom_of (info.Symtab.v_scope, info.Symtab.v_name)
-    | None -> None
+  else (nonlocal ctx frame name).n_atom
 
 (* Aliasing hazard at a by-reference binding: in the baseline the dummy
    shares the actual's cell, but demoting either end makes their kinds
@@ -293,12 +282,12 @@ let binding_atom ctx frame name =
    bounds: poison both ends' atoms. *)
 let alias_guard ctx frame ~callee ~dummy name =
   if not (Hashtbl.mem frame.vars name) then
-    match Symtab.lookup_var ctx.st ~in_proc:frame.proc name with
-    | Some { Symtab.v_scope = Symtab.Unit_scope u; v_name; _ }
+    match nonlocal ctx frame name with
+    | { n_info = Some { Symtab.v_scope = Symtab.Unit_scope u; v_name; _ }; n_atom; _ }
       when ctx.callee_touches callee (u, v_name) ->
-      Option.iter (poison ctx) (ctx.atom_of (Symtab.Unit_scope u, v_name));
+      Option.iter (poison ctx) n_atom;
       Option.iter (poison ctx) (ctx.atom_of (Symtab.Proc_scope callee, dummy))
-    | Some _ | None -> ()
+    | _ -> ()
 
 (* By-reference hazards of the kind-mismatch wrapper, charged at binding
    time to every atom whose demotion inserts one (the dummy's own atom
@@ -326,7 +315,10 @@ let wrapper_hazard ~(dinfo : Symtab.var_info) atoms v err =
       | _ -> if x = 0.0 then 0.0 else Float.max (2.0 *. eps32 *. x) sub32
     in
     if charge = 0.0 then err
-    else List.fold_left (fun err a -> put a (Float.max charge (get a err)) err) err atoms
+    else
+      List.fold_left
+        (fun err a -> Errvec.set a (Float.max charge (Errvec.get a err)) err)
+        err atoms
 
 (* reading through a binding owned by atom [a]: the value is kind-tainted
    by [a] and has been (or will be, at a wrapper boundary) f32-rounded *)
@@ -335,13 +327,9 @@ let read_view ctx frame name (v : av) =
   | Value.Vreal (x, _) -> (
     match binding_atom ctx frame name with
     | Some a ->
-      {
-        v with
-        err = put a (round_entry ctx ~eps:eps32 ~cap:f32_cap a x (get a v.err)) v.err;
-        kt = ISet.singleton a;
-      }
-    | None -> { v with kt = ISet.empty })
-  | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> { v with kt = ISet.empty }
+      { v with err = Errvec.round_at ctx.poisoned a x v.err; kt = [| a |] }
+    | None -> { v with kt = Errvec.no_atoms })
+  | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> { v with kt = Errvec.no_atoms }
 
 (* ------------------------------------------------------------------ *)
 (* The mirror interpreter                                              *)
@@ -364,7 +352,7 @@ let rec param_value ctx (info : Symtab.var_info) =
       | Some e -> e
       | None -> trap "parameter %s has no initializer" info.v_name
     in
-    let frame = { proc = in_proc; vars = Hashtbl.create 1 } in
+    let frame = new_frame ctx in_proc 1 in
     let v = eval_expr ctx frame init in
     let v =
       match (info.v_base, v.c) with
@@ -374,10 +362,10 @@ let rec param_value ctx (info : Symtab.var_info) =
         let err, kt =
           match ctx.atom_of (info.v_scope, info.v_name) with
           | Some a when k = Ast.K8 ->
-            (put a (Float.abs (Fp32.round x -. x) +. get a v.err) v.err, ISet.singleton a)
-          | Some _ | None -> (v.err, ISet.empty)
+            (Errvec.set a (Float.abs (Fp32.round x -. x) +. Errvec.get a v.err) v.err, [| a |])
+          | Some _ | None -> (v.err, Errvec.no_atoms)
         in
-        { c = Value.Vreal (x, k); err = round_err ctx k x err ISet.empty; kt }
+        { c = Value.Vreal (x, k); err = round_err ctx k x err Errvec.no_atoms; kt }
       | Ast.Tinteger, _ -> pure (Value.Vint (as_int ctx v))
       | Ast.Tlogical, _ -> pure (Value.Vlog (as_bool v.c))
     in
@@ -388,14 +376,15 @@ and resolve ctx frame name : [ `Cell of cell | `Param of av ] =
   match Hashtbl.find_opt frame.vars name with
   | Some cell -> `Cell cell
   | None -> (
-    match Symtab.lookup_var ctx.st ~in_proc:frame.proc name with
+    let n = nonlocal ctx frame name in
+    match n.n_info with
     | None -> trap "undeclared variable %s" name
     | Some info ->
       if info.v_parameter then `Param (param_value ctx info)
       else (
         match info.v_scope with
         | Symtab.Unit_scope u -> (
-          match Hashtbl.find_opt ctx.globals (global_key u name) with
+          match n.n_cell with
           | Some cell -> `Cell cell
           | None -> trap "global %s.%s not allocated" u name)
         | Symtab.Proc_scope p ->
@@ -432,7 +421,7 @@ and eval_expr ctx frame (e : Ast.expr) : av =
     match Hashtbl.find_opt frame.vars name with
     | Some cell -> array_load ctx frame name cell args
     | None -> (
-      match Symtab.lookup_var ctx.st ~in_proc:frame.proc name with
+      match (nonlocal ctx frame name).n_info with
       | Some info when info.v_dims <> [] -> (
         match resolve ctx frame name with
         | `Cell cell -> array_load ctx frame name cell args
@@ -460,7 +449,7 @@ and eval_binop ctx frame op a b =
     let vb = eval_expr ctx frame b in
     let ka = value_kind va.c in
     let kb = value_kind vb.c in
-    let kt = ISet.union va.kt vb.kt in
+    let kt = Errvec.atoms_union va.kt vb.kt in
     match (va.c, vb.c, op) with
     | Value.Vint x, Value.Vint y, (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow) ->
       pure
@@ -484,9 +473,9 @@ and eval_binop ctx frame op a b =
       let x = as_float va.c and y = as_float vb.c in
       let err =
         match op with
-        | Ast.Add | Ast.Sub -> merge_err ( +. ) va.err vb.err
-        | Ast.Mul -> mul_err x y va.err vb.err
-        | Ast.Div -> div_err ctx x y va.err vb.err
+        | Ast.Add | Ast.Sub -> Errvec.add va.err vb.err
+        | Ast.Mul -> Errvec.mul x y va.err vb.err
+        | Ast.Div -> Errvec.div ctx.poisoned x y va.err vb.err
         | _ -> assert false
       in
       mk_areal ctx k
@@ -509,11 +498,11 @@ and eval_binop ctx frame op a b =
            times; the exponent is an exact int (err-free by construction) *)
         let rec pow (acc, eacc) i =
           if i = 0 then (acc, eacc)
-          else pow (acc *. x, mul_err acc x eacc va.err) (i - 1)
+          else pow (acc *. x, Errvec.mul acc x eacc va.err) (i - 1)
         in
-        let v, err = pow (1.0, IMap.empty) (abs n) in
+        let v, err = pow (1.0, Errvec.empty) (abs n) in
         if n < 0 then
-          let err = div_err ctx 1.0 v IMap.empty err in
+          let err = Errvec.div ctx.poisoned 1.0 v Errvec.empty err in
           mk_areal ctx k (1.0 /. v) err kt
         else mk_areal ctx k v err kt
       | _ ->
@@ -523,7 +512,7 @@ and eval_binop ctx frame op a b =
            error rectangle is at a corner; an interval reaching x <= 0 can
            go complex (NaN trap divergence) *)
         let err =
-          merge_err
+          Errvec.union
             (fun ex ey ->
               if ex = 0.0 && ey = 0.0 then 0.0
               else if x -. ex <= 0.0 then Float.abs raw +. 1.0
@@ -537,13 +526,15 @@ and eval_binop ctx frame op a b =
                   [ (ex, ey); (ex, -.ey); (-.ex, ey); (-.ex, -.ey) ])
             va.err vb.err
         in
-        IMap.iter
+        Errvec.iter
           (fun a e ->
             if e > 0.0 then
-              let ex = get a va.err in
+              let ex = Errvec.get a va.err in
               if x -. ex <= 0.0 || not (Float.is_finite e) then poison ctx a)
           err;
-        let err = IMap.map (fun e -> if Float.is_finite e then e else Float.abs raw +. 1.0) err in
+        let err =
+          Errvec.map (fun _ e -> if Float.is_finite e then e else Float.abs raw +. 1.0) err
+        in
         mk_areal ctx k raw err kt)
     | _, _, (Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) -> (
       match (va.c, vb.c) with
@@ -577,7 +568,8 @@ and array_load ctx frame name cell args =
   match cell with
   | Real_array { kind; data; errs; dims } ->
     let o = Value.offset ~name ~dims indices in
-    read_view ctx frame name { c = Value.Vreal (data.(o), kind); err = errs.(o); kt = ISet.empty }
+    read_view ctx frame name
+      { c = Value.Vreal (data.(o), kind); err = errs.(o); kt = Errvec.no_atoms }
   | Int_array { data; dims } -> pure (Value.Vint (data.(Value.offset ~name ~dims indices)))
   | Log_array { data; dims } -> pure (Value.Vlog (data.(Value.offset ~name ~dims indices)))
   | Scalar _ -> trap "scalar %s subscripted" name
@@ -592,7 +584,7 @@ and store_real ctx frame name kind (v : av) =
     trap "non-finite value stored to %s (real(kind=%d))" name (Token.int_of_kind kind);
   let kt =
     match binding_atom ctx frame name with
-    | Some a -> ISet.add a v.kt
+    | Some a -> Errvec.atoms_add a v.kt
     | None -> v.kt
   in
   (x, round_err ctx kind x v.err kt)
@@ -613,10 +605,10 @@ and scalar_store ctx frame name r (v : av) =
   match !r.c with
   | Value.Vreal (_, k) ->
     let x, err = store_real ctx frame name k v in
-    r := { c = Value.Vreal (x, k); err; kt = ISet.empty }
+    r := { c = Value.Vreal (x, k); err; kt = Errvec.no_atoms }
   | Value.Vint _ -> r := pure (Value.Vint (as_int ctx v))
   | Value.Vlog _ -> r := pure (Value.Vlog (as_bool v.c))
-  | Value.Vstr _ -> r := { v with kt = ISet.empty }
+  | Value.Vstr _ -> r := { v with kt = Errvec.no_atoms }
 
 (* ------------------------------------------------------------------ *)
 (* Intrinsics                                                          *)
@@ -691,7 +683,7 @@ and eval_intrinsic ctx frame name args =
           | _ -> assert false
       in
       let err =
-        IMap.mapi
+        Errvec.map
           (fun a e ->
             match lip e with
             | Some e' -> e'
@@ -718,10 +710,8 @@ and eval_intrinsic ctx frame name args =
         List.fold_left (if name = "min" then Float.min else Float.max) (List.hd fs) (List.tl fs)
       in
       (* |min_i x'_i - min_i x_i| <= max_i |x'_i - x_i| *)
-      let err =
-        List.fold_left (fun acc v -> merge_err Float.max acc v.err) IMap.empty vs
-      in
-      let kt = List.fold_left (fun acc v -> ISet.union acc v.kt) ISet.empty vs in
+      let err = List.fold_left (fun acc v -> Errvec.max acc v.err) Errvec.empty vs in
+      let kt = List.fold_left (fun acc v -> Errvec.atoms_union acc v.kt) Errvec.no_atoms vs in
       mk_areal ctx k f err kt)
   | "mod" -> (
     match args with
@@ -747,15 +737,15 @@ and eval_intrinsic ctx frame name args =
           if q = 0.0 then 0.0 else Float.min (Float.abs r) (q -. Float.abs r)
         in
         let err =
-          merge_err
+          Errvec.union
             (fun ex ey ->
               if ey > 0.0 then ex +. ey +. Float.abs y
               else if ex >= boundary_dist then ex +. Float.abs y
               else ex)
             va.err vb.err
         in
-        IMap.iter (fun a ey -> if ey > 0.0 then poison ctx a) vb.err;
-        mk_areal ctx k r err (ISet.union va.kt vb.kt))
+        Errvec.iter (fun a ey -> if ey > 0.0 then poison ctx a) vb.err;
+        mk_areal ctx k r err (Errvec.atoms_union va.kt vb.kt))
     | _ -> trap "mod expects two arguments")
   | "atan2" -> (
     match args with
@@ -769,14 +759,14 @@ and eval_intrinsic ctx frame name args =
         (* gradient magnitude is 1/r; the range is (-pi, pi], so 2*pi
            always bounds the jump across the branch cut *)
         let err =
-          merge_err
+          Errvec.union
             (fun ey ex ->
               let m = r -. (ey +. ex) in
               if m <= 0.0 then 2.0 *. Float.pi
               else Float.min ((ey +. ex) /. m) (2.0 *. Float.pi))
             va.err vb.err
         in
-        mk_areal ctx k (Float.atan2 y x) err (ISet.union va.kt vb.kt)
+        mk_areal ctx k (Float.atan2 y x) err (Errvec.atoms_union va.kt vb.kt)
       | None -> trap "atan2 of non-real values")
     | _ -> trap "atan2 expects two arguments")
   | "sign" -> (
@@ -789,13 +779,13 @@ and eval_intrinsic ctx frame name args =
         let xf = as_float x.c and yf = as_float y.c in
         let m = Float.abs xf in
         let err =
-          merge_err
+          Errvec.union
             (fun ex ey ->
               (* a flippable sign of y doubles the magnitude swing *)
               if ey > 0.0 && Float.abs yf <= ey then ex +. (2.0 *. (m +. ex)) else ex)
             x.err y.err
         in
-        mk_areal ctx k (if yf >= 0.0 then m else -.m) err (ISet.union x.kt y.kt)
+        mk_areal ctx k (if yf >= 0.0 then m else -.m) err (Errvec.atoms_union x.kt y.kt)
       | None ->
         let m = abs (as_int ctx x) in
         pure (Value.Vint (if as_int ctx y >= 0 then m else -m)))
@@ -809,19 +799,20 @@ and eval_intrinsic ctx frame name args =
          error survives one f32 rounding (real() does not trap non-finite,
          mirroring the interpreter; an overflowing entry poisons inside
          round_err) *)
-      { c = Value.Vreal (x, Ast.K4); err = round_err ctx Ast.K4 x v.err ISet.empty;
-        kt = ISet.empty }
+      { c = Value.Vreal (x, Ast.K4); err = round_err ctx Ast.K4 x v.err Errvec.no_atoms;
+        kt = Errvec.no_atoms }
     | [ a; Ast.Int_lit k ] -> (
       let v = eval_expr ctx frame a in
       match Token.kind_of_int k with
       | Some kk ->
         let x = Fp32.of_kind kk (as_float v.c) in
-        { c = Value.Vreal (x, kk); err = round_err ctx kk x v.err ISet.empty; kt = ISet.empty }
+        { c = Value.Vreal (x, kk); err = round_err ctx kk x v.err Errvec.no_atoms;
+          kt = Errvec.no_atoms }
       | None -> trap "real(): unsupported kind %d" k)
     | _ -> trap "real() expects (x) or (x, kind)")
   | "dble" ->
     let v = unary () in
-    { c = Value.Vreal (as_float v.c, Ast.K8); err = v.err; kt = ISet.empty }
+    { c = Value.Vreal (as_float v.c, Ast.K8); err = v.err; kt = Errvec.no_atoms }
   | "int" -> pure (Value.Vint (as_int_conv ctx (fun x -> int_of_float x) (unary ())))
   | "nint" ->
     pure (Value.Vint (as_int_conv ctx (fun x -> int_of_float (Float.round x)) (unary ())))
@@ -835,20 +826,27 @@ and eval_intrinsic ctx frame name args =
           `Cell (Real_array { kind = kb; data = db; errs = eb; _ }) ) ->
         let n = min (Array.length da) (Array.length db) in
         let kind = if ka = Ast.K8 || kb = Ast.K8 then Ast.K8 else Ast.K4 in
-        let kt =
-          ISet.union
-            (match binding_atom ctx frame a with Some i -> ISet.singleton i | None -> ISet.empty)
-            (match binding_atom ctx frame b with Some i -> ISet.singleton i | None -> ISet.empty)
+        let atoms x =
+          match binding_atom ctx frame x with Some i -> [| i |] | None -> Errvec.no_atoms
         in
-        let s = ref 0.0 and serr = ref IMap.empty in
+        let kt = Errvec.atoms_union (atoms a) (atoms b) in
+        let s = ref 0.0 and serr = ref Errvec.empty in
         for i = 0 to n - 1 do
-          let xa = read_view ctx frame a { c = Value.Vreal (da.(i), ka); err = ea.(i); kt = ISet.empty } in
-          let xb = read_view ctx frame b { c = Value.Vreal (db.(i), kb); err = eb.(i); kt = ISet.empty } in
+          let xa =
+            read_view ctx frame a
+              { c = Value.Vreal (da.(i), ka); err = ea.(i); kt = Errvec.no_atoms }
+          in
+          let xb =
+            read_view ctx frame b
+              { c = Value.Vreal (db.(i), kb); err = eb.(i); kt = Errvec.no_atoms }
+          in
           let p = da.(i) *. db.(i) in
-          let perr = round_err ctx kind (Fp32.of_kind kind p) (mul_err da.(i) db.(i) xa.err xb.err) kt in
+          let perr =
+            round_err ctx kind (Fp32.of_kind kind p) (Errvec.mul da.(i) db.(i) xa.err xb.err) kt
+          in
           let p = Fp32.of_kind kind p in
           let s' = Fp32.of_kind kind (!s +. p) in
-          serr := round_err ctx kind s' (merge_err ( +. ) !serr perr) kt;
+          serr := round_err ctx kind s' (Errvec.add !serr perr) kt;
           s := s'
         done;
         mk_areal ctx kind !s !serr kt
@@ -861,21 +859,19 @@ and eval_intrinsic ctx frame name args =
       | `Cell (Real_array { kind; data; errs; _ }) ->
         let n = Array.length data in
         let kt =
-          match binding_atom ctx frame arr with
-          | Some i -> ISet.singleton i
-          | None -> ISet.empty
+          match binding_atom ctx frame arr with Some i -> [| i |] | None -> Errvec.no_atoms
         in
         let elem i =
           read_view ctx frame arr
-            { c = Value.Vreal (data.(i), kind); err = errs.(i); kt = ISet.empty }
+            { c = Value.Vreal (data.(i), kind); err = errs.(i); kt = Errvec.no_atoms }
         in
         (match name with
         | "sum" ->
-          let s = ref 0.0 and serr = ref IMap.empty in
+          let s = ref 0.0 and serr = ref Errvec.empty in
           for i = 0 to n - 1 do
             let x = elem i in
             let s' = Fp32.of_kind kind (!s +. data.(i)) in
-            serr := round_err ctx kind s' (merge_err ( +. ) !serr x.err) kt;
+            serr := round_err ctx kind s' (Errvec.add !serr x.err) kt;
             s := s'
           done;
           mk_areal ctx kind !s !serr kt
@@ -887,7 +883,7 @@ and eval_intrinsic ctx frame name args =
             for i = 1 to n - 1 do
               let x = elem i in
               v := fold !v data.(i);
-              err := merge_err Float.max !err x.err
+              err := Errvec.max !err x.err
             done;
             mk_areal ctx kind !v !err kt
           end
@@ -936,7 +932,8 @@ and eval_intrinsic ctx frame name args =
          demoted run: the error is the full distance between the kinds *)
       let gap = Float.abs (model name Ast.K4 -. model name Ast.K8) in
       let err =
-        if k = Ast.K8 then ISet.fold (fun a m -> put a gap m) kt IMap.empty else IMap.empty
+        if k = Ast.K8 then Array.fold_left (fun m a -> Errvec.set a gap m) Errvec.empty kt
+        else Errvec.empty
       in
       { c = Value.Vreal (v, k); err; kt }
     | _ -> trap "%s of non-real value" name)
@@ -956,12 +953,12 @@ and call_user ctx frame name arg_exprs : av option =
   if List.length arg_exprs <> List.length p.Ast.params then
     trap "procedure %s expects %d arguments, got %d" name (List.length p.Ast.params)
       (List.length arg_exprs);
-  let callee_frame = { proc = Some name; vars = Hashtbl.create 16 } in
+  let callee_frame = new_frame ctx (Some name) 16 in
   let copy_out = ref [] in
   List.iter2
     (fun dummy actual ->
       let dinfo =
-        match Symtab.lookup_var ctx.st ~in_proc:(Some name) dummy with
+        match (nonlocal ctx callee_frame dummy).n_info with
         | Some i -> i
         | None -> trap "dummy %s of %s undeclared" dummy name
       in
@@ -1034,7 +1031,7 @@ and call_user ctx frame name arg_exprs : av option =
           bind_by_value ctx callee_frame ~callee:name ~dummy ~dinfo ~actual v;
           (match (actual, dinfo.v_intent) with
           | Ast.Index (arr_name, idx), (Some Ast.Out | Some Ast.Inout | None) -> (
-            match Symtab.lookup_var ctx.st ~in_proc:frame.proc arr_name with
+            match (nonlocal ctx frame arr_name).n_info with
             | Some { v_dims = _ :: _; v_parameter = false; _ } ->
               copy_out := (arr_name, idx, dummy) :: !copy_out
             | Some _ | None -> ())
@@ -1111,18 +1108,18 @@ and bind_by_value ctx callee_frame ~callee ~dummy ~dinfo ~actual (v : av) =
       let x = Fp32.of_kind dk (as_float v.c) in
       let kt =
         match ctx.atom_of (Symtab.Proc_scope callee, dummy) with
-        | Some a -> ISet.add a v.kt
+        | Some a -> Errvec.atoms_add a v.kt
         | None -> v.kt
       in
-      let err = wrapper_hazard ~dinfo (ISet.elements kt) x (round_err ctx dk x v.err kt) in
+      let err = wrapper_hazard ~dinfo (Array.to_list kt) x (round_err ctx dk x v.err kt) in
       Hashtbl.replace callee_frame.vars dummy
-        (Scalar (ref { c = Value.Vreal (x, dk); err; kt = ISet.empty }))
+        (Scalar (ref { c = Value.Vreal (x, dk); err; kt = Errvec.no_atoms }))
     end
   | Ast.Treal dk, Value.Vint i ->
     Hashtbl.replace callee_frame.vars dummy
       (Scalar (ref (pure (Value.Vreal (Fp32.of_kind dk (float_of_int i), dk)))))
   | Ast.Tinteger, Value.Vint _ | Ast.Tlogical, Value.Vlog _ ->
-    Hashtbl.replace callee_frame.vars dummy (Scalar (ref { v with kt = ISet.empty }))
+    Hashtbl.replace callee_frame.vars dummy (Scalar (ref { v with kt = Errvec.no_atoms }))
   | _ -> trap "type mismatch binding value to dummy %s of %s" dummy callee
 
 (* ------------------------------------------------------------------ *)
@@ -1215,7 +1212,7 @@ and exec_stmt ctx frame (s : Ast.stmt) =
         (fun (v : av) ->
           match v.c with
           | Value.Vreal (x, _) ->
-            ctx.samples <- { s_key = key; s_value = x; s_err = v.err } :: ctx.samples
+            ctx.samples <- { s_key = key; s_value = x; s_err = to_map v.err } :: ctx.samples
           | Value.Vint i ->
             ctx.samples <-
               { s_key = key; s_value = float_of_int i; s_err = IMap.empty } :: ctx.samples
@@ -1268,7 +1265,7 @@ let prepare_globals ctx =
         (fun (info : Symtab.var_info) ->
           match info.v_init with
           | Some e when not info.v_parameter -> (
-            let frame = { proc = None; vars = Hashtbl.create 1 } in
+            let frame = new_frame ctx None 1 in
             let v = eval_expr ctx frame e in
             match Hashtbl.find_opt ctx.globals (global_key uname info.v_name) with
             | Some (Scalar r) -> scalar_store ctx frame info.v_name r v
@@ -1338,6 +1335,8 @@ let analyze ?(max_steps = 20_000_000) ~atoms st =
       max_steps;
       globals = Hashtbl.create 64;
       params = Hashtbl.create 64;
+      main_scope = new_scope ();
+      proc_scopes = Hashtbl.create 32;
       samples = [];
       depth = 0;
     }
@@ -1347,7 +1346,7 @@ let analyze ?(max_steps = 20_000_000) ~atoms st =
     match Ast.main_of (Symtab.program st) with
     | None -> trap "program has no main unit"
     | Some m ->
-      let frame = { proc = None; vars = Hashtbl.create 16 } in
+      let frame = new_frame ctx None 16 in
       exec_block ctx frame m.Ast.main_body
   with
   | () ->

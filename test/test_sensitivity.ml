@@ -157,6 +157,184 @@ let golden_tests =
     goldens
 
 (* ------------------------------------------------------------------ *)
+(* Error-vector kernels against a [float IMap.t] reference model        *)
+
+(* The reference is the map algebra the flat kernels replace: unions by
+   [IMap.merge] with missing entries read as 0.0, [put] dropping 0.0. *)
+module Ref = struct
+  module IMap = Sensitivity.Absint.IMap
+
+  let get a m = Option.value ~default:0.0 (IMap.find_opt a m)
+  let put a e m = if e = 0.0 then m else IMap.add a e m
+
+  let merge f ex ey =
+    IMap.merge
+      (fun _ a b -> Some (f (Option.value ~default:0.0 a) (Option.value ~default:0.0 b)))
+      ex ey
+
+  let add = merge ( +. )
+  let max = merge Float.max
+  let mul x y = merge (fun ex ey -> (Float.abs y *. ex) +. (Float.abs x *. ey) +. (ex *. ey))
+
+  let div poisoned x y ex ey =
+    let merged =
+      merge
+        (fun ex ey ->
+          let ay = Float.abs y in
+          let denom = ay -. ey in
+          let num = (ay *. ex) +. (Float.abs x *. ey) +. (ex *. ey) in
+          if denom <= 0.0 then num /. Float.max (ay *. ay) 1e-300 else num /. (ay *. denom))
+        ex ey
+    in
+    IMap.iter
+      (fun a ey_a -> if ey_a > 0.0 && Float.abs y -. ey_a <= 0.0 then poisoned.(a) <- true)
+      ey;
+    merged
+
+  let compare_guard poisoned x y ex ey =
+    let gap = Float.abs (x -. y) in
+    let check a e = if e > 0.0 && e >= gap then poisoned.(a) <- true in
+    IMap.iter (fun a e -> check a (e +. get a ey)) ex;
+    IMap.iter (fun a e -> check a (e +. get a ex)) ey
+
+  let eps32 = 1.1920928955078125e-07
+
+  let round_entry poisoned ~eps ~cap a v e =
+    let sub = if eps = eps32 then 0x1p-149 else 0x1p-1074 in
+    let m = Float.abs v +. e in
+    let round = if m = 0.0 then 0.0 else Float.max (2.0 *. eps *. m) sub in
+    let e' = (e *. (1.0 +. (2.0 *. eps))) +. round in
+    if (not (Float.is_finite e')) || Float.abs v +. e' >= cap then begin
+      poisoned.(a) <- true;
+      if Float.is_finite e' then e' else Float.abs v +. cap
+    end
+    else e'
+
+  let f32_cap = Runtime.Fp32.max_finite
+
+  let round poisoned ~narrow v err kt =
+    if narrow then IMap.mapi (fun a e -> round_entry poisoned ~eps:eps32 ~cap:f32_cap a v e) err
+    else
+      let err =
+        IMap.mapi (fun a e -> round_entry poisoned ~eps:epsilon_float ~cap:max_float a v e) err
+      in
+      List.fold_left
+        (fun err a -> put a (round_entry poisoned ~eps:eps32 ~cap:f32_cap a v (get a err)) err)
+        err kt
+end
+
+let n_keys = 12
+
+(* sparse vectors over a small key range, with explicit 0.0 entries,
+   magnitudes that reach both overflow caps (so poisoning is exercised),
+   and the -0.0 and NaN corners of Float.max *)
+let gen_entry =
+  QCheck.Gen.(
+    oneof
+      [
+        return 0.0;
+        return (-0.0);
+        return nan;
+        return 0x1p-1074;
+        float_bound_inclusive 1.0;
+        float_range 1.0 1e6;
+        return 3.0e38;
+        return 1e308;
+        return infinity;
+      ])
+
+let gen_vec = QCheck.Gen.(list_size (0 -- n_keys) (pair (0 -- (n_keys - 1)) gen_entry))
+
+let gen_scalar =
+  QCheck.Gen.(
+    oneof
+      [
+        return 0.0;
+        float_range (-2.0) 2.0;
+        float_range (-1e6) 1e6;
+        return 3.4e38;
+        return (-1e308);
+      ])
+
+let gen_taint =
+  QCheck.Gen.(map (List.sort_uniq compare) (list_size (0 -- 4) (0 -- (n_keys - 1))))
+
+let print_case (x, y, ea, eb, kt) =
+  let l v = String.concat ";" (List.map (fun (a, e) -> Printf.sprintf "%d:%h" a e) v) in
+  Printf.sprintf "x=%h y=%h ex=[%s] ey=[%s] kt=[%s]" x y (l ea) (l eb)
+    (String.concat ";" (List.map string_of_int kt))
+
+let arb_case =
+  QCheck.make ~print:print_case
+    QCheck.Gen.(
+      map
+        (fun ((x, y), (ea, eb), kt) -> (x, y, ea, eb, kt))
+        (triple (pair gen_scalar gen_scalar) (pair gen_vec gen_vec) gen_taint))
+
+let ref_of l = List.fold_left (fun m (a, e) -> Ref.IMap.add a e m) Ref.IMap.empty l
+
+(* same keys, same value bits, same poison flags *)
+let agree (got, got_p) (want, want_p) =
+  let bits l = List.map (fun (a, e) -> (a, Int64.bits_of_float e)) l in
+  bits (Sensitivity.Errvec.to_list got) = bits (Ref.IMap.bindings want) && got_p = want_p
+
+let kernel_prop name f g =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:500 arb_case (fun (x, y, ea, eb, kt) ->
+         let pg = Array.make n_keys false and pw = Array.make n_keys false in
+         let got =
+           f pg x y (Sensitivity.Errvec.of_list ea) (Sensitivity.Errvec.of_list eb) kt
+         in
+         let want = g pw x y (ref_of ea) (ref_of eb) kt in
+         agree (got, pg) (want, pw)))
+
+let errvec_tests =
+  let module E = Sensitivity.Errvec in
+  [
+    kernel_prop "add" (fun _ _ _ a b _ -> E.add a b) (fun _ _ _ a b _ -> Ref.add a b);
+    kernel_prop "max" (fun _ _ _ a b _ -> E.max a b) (fun _ _ _ a b _ -> Ref.max a b);
+    kernel_prop "mul" (fun _ x y a b _ -> E.mul x y a b) (fun _ x y a b _ -> Ref.mul x y a b);
+    kernel_prop "div" (fun p x y a b _ -> E.div p x y a b) (fun p x y a b _ -> Ref.div p x y a b);
+    kernel_prop "generic union"
+      (fun _ _ y a b _ -> E.union (fun ex ey -> if ey > 0.0 then ex +. ey +. y else ex) a b)
+      (fun _ _ y a b _ -> Ref.merge (fun ex ey -> if ey > 0.0 then ex +. ey +. y else ex) a b);
+    kernel_prop "set then get"
+      (fun _ x _ a _ kt ->
+        let v = List.fold_left (fun v k -> E.set k x v) a kt in
+        List.fold_left (fun v k -> E.set ((k + 1) mod n_keys) (E.get k v) v) v kt)
+      (fun _ x _ a _ kt ->
+        let m = List.fold_left (fun m k -> Ref.put k x m) a kt in
+        List.fold_left (fun m k -> Ref.put ((k + 1) mod n_keys) (Ref.get k m) m) m kt);
+    kernel_prop "round at f32 (taint ignored)"
+      (fun p v _ a _ kt -> E.round p ~narrow:true v a (Array.of_list kt))
+      (fun p v _ a _ kt -> Ref.round p ~narrow:true v a kt);
+    kernel_prop "round at f64 with kind taint"
+      (fun p v _ a _ kt -> E.round p ~narrow:false v a (Array.of_list kt))
+      (fun p v _ a _ kt -> Ref.round p ~narrow:false v a kt);
+    kernel_prop "round one atom at f32"
+      (fun p v _ a _ kt -> List.fold_left (fun a k -> E.round_at p k v a) a kt)
+      (fun p v _ a _ kt ->
+        List.fold_left
+          (fun m k ->
+            Ref.put k (Ref.round_entry p ~eps:Ref.eps32 ~cap:Ref.f32_cap k v (Ref.get k m)) m)
+          a kt);
+    kernel_prop "compare guard"
+      (fun p x y a b _ ->
+        E.compare_guard p ~gap:(Float.abs (x -. y)) a b;
+        E.empty)
+      (fun p x y a b _ ->
+        Ref.compare_guard p x y a b;
+        Ref.IMap.empty);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"taint sets union as sorted sets" ~count:300
+         QCheck.(pair (make gen_taint) (make gen_taint))
+         (fun (a, b) ->
+           let u = E.atoms_union (Array.of_list a) (Array.of_list b) in
+           Array.to_list u = List.sort_uniq compare (a @ b)
+           && E.atoms_add 3 (Array.of_list a) = Array.of_list (List.sort_uniq compare (3 :: a))));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* The evidence engine                                                 *)
 
 let rank_engine_tests =
@@ -462,6 +640,7 @@ let () =
     [
       ("scorer", scorer_tests);
       ("golden", golden_tests);
+      ("errvec", errvec_tests);
       ("rank engine", rank_engine_tests);
       ("campaigns", campaign_tests);
       ("holdout", holdout_tests);
