@@ -446,7 +446,6 @@ let campaign_show_cmd =
     pf "algo    : %s\n" h.Persist.Journal.algo;
     pf "seed    : %d\n" h.Persist.Journal.seed;
     pf "config  : %s\n" h.Persist.Journal.config_digest;
-    pf "workers : %d\n" h.Persist.Journal.workers;
     pf "atoms   : %d\n" h.Persist.Journal.atoms;
     if h.Persist.Journal.caps <> [] then
       pf "caps    : %s\n" (String.concat ", " h.Persist.Journal.caps);

@@ -1071,26 +1071,24 @@ let execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~p
     ?fault_stats:(Option.map Cluster.Faults.stats fstate)
     ?sched:!sched p trace minimal
 
-let journal_header p ~algo ~workers =
+let journal_header p ~algo =
   {
     Persist.Journal.version = 1;
     model = p.model.Models.Registry.name;
     algo = algo_name algo;
     seed = p.config.Config.seed;
     config_digest = Config.digest p.config;
-    workers = (match workers with Some w -> w | None -> default_workers ());
     atoms = List.length p.atoms;
     (* every journal this writer produces may carry provenance lines, so
        solo and service headers stay byte-identical *)
     caps = [ "shared" ];
   }
 
-let start_journal p ~algo ~workers dir =
-  (dir, Persist.Journal.create ~dir (journal_header p ~algo ~workers))
+let start_journal p ~algo dir = (dir, Persist.Journal.create ~dir (journal_header p ~algo))
 
 let run_algo ~algo ?config ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo model =
   let p = prepare ?config model in
-  let journal = Option.map (start_journal p ~algo ~workers) journal in
+  let journal = Option.map (start_journal p ~algo) journal in
   execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~preloaded:[] ()
 
 let run_delta_debug ?config ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo model =

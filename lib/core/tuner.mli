@@ -244,9 +244,8 @@ val run_delta_debug :
     [pool] lends an externally owned {!Search.Pool} instead of creating
     one per campaign — the substrate a multiplexing service shares
     between jobs. It is used whenever the effective worker count is
-    positive and is never shut down by the runner; the journal header
-    still records [workers], so journals stay byte-identical to
-    solo runs.
+    positive and is never shut down by the runner. Journals carry no
+    worker count, so they stay byte-identical to solo runs.
 
     [checkpoint] is called with the campaign's {!progress} after every
     fresh durable record (from the journal's commit sink, so it only

@@ -4,7 +4,6 @@ type header = {
   algo : string;
   seed : int;
   config_digest : string;
-  workers : int;
   atoms : int;
   caps : string list;  (* optional-line capabilities, e.g. "shared" *)
 }
@@ -57,7 +56,6 @@ let header_json h =
       ("algo", Json.Str h.algo);
       ("seed", Json.Num (float_of_int h.seed));
       ("config", Json.Str h.config_digest);
-      ("workers", Json.Num (float_of_int h.workers));
       ("atoms", Json.Num (float_of_int h.atoms));
       ("caps", Json.Arr (List.map (fun c -> Json.Str c) h.caps));
     ]
@@ -115,7 +113,8 @@ let header_of_json j =
     algo = get_str j "algo";
     seed = get_int j "seed";
     config_digest = get_str j "config";
-    workers = get_int j "workers";
+    (* journals written before the header became host-independent also
+       carry a "workers" field: it is ignored *)
     atoms = get_int j "atoms";
     (* absent on pre-PR-10 journals: no optional line kinds allowed *)
     caps =

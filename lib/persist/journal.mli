@@ -3,17 +3,18 @@
 
     A campaign directory holds one [journal.jsonl]. Its first line is a
     versioned header identifying the campaign (model, search algorithm,
-    seed, a digest of the result-affecting configuration, worker count,
-    search-space size); every further line is one committed
+    seed, a digest of the result-affecting configuration, search-space
+    size); every further line is one committed
     {!Search.Variant.record}, content-addressed by its
     {!Transform.Assignment.signature} and written {e before} the campaign
     proceeds (flushed and fsynced by default), so a SIGKILL at any moment
     loses at most the record being appended.
 
     Record lines are emitted in commit order by {!Search.Trace}'s append
-    sink, which fires under the trace mutex — record lines are therefore
-    byte-identical for every worker count (the header differs only in its
-    [workers] field). Measurement floats are stored as lossless [%h] hex
+    sink, which fires under the trace mutex. The header holds nothing
+    that depends on the host or the worker count, so a whole journal is
+    byte-identical for every worker count and shard layout; a [workers]
+    field in a journal written before that is ignored. Measurement floats are stored as lossless [%h] hex
     strings: a replayed record compares bit-identical to the original.
 
     {!load} tolerates a torn final line (the crash case): everything up to
@@ -26,7 +27,6 @@ type header = {
   algo : string;  (** ["brute_force"], ["delta_debug"] or ["hierarchical"] *)
   seed : int;
   config_digest : string;  (** {!Core.Config} digest over result-affecting fields *)
-  workers : int;  (** requested worker count (informational) *)
   atoms : int;  (** search-space size; signatures must have this length *)
   caps : string list;
       (** declared optional line kinds. Writers in this tree always

@@ -77,7 +77,6 @@ let header =
     algo = "brute_force";
     seed = 42;
     config_digest = "cafe";
-    workers = 0;
     atoms = 4;
     caps = [ "shared" ];
   }
@@ -123,6 +122,31 @@ let journal_tests =
             Alcotest.(check int64) "model_time bits"
               (Int64.bits_of_float weird_meas.Search.Variant.model_time)
               (Int64.bits_of_float m.Search.Variant.model_time)));
+    t "journals are byte-identical for any worker count" (fun () ->
+        (* nothing host-dependent reaches the journal: the same campaign
+           sequential and on three workers writes the same bytes *)
+        with_dir2 (fun seq pooled ->
+            ignore
+              (Core.Tuner.run_delta_debug ~config:funarc_config ~workers:0 ~journal:seq
+                 small_funarc);
+            ignore
+              (Core.Tuner.run_delta_debug ~config:funarc_config ~workers:3 ~journal:pooled
+                 small_funarc);
+            Alcotest.(check string) "journal bytes"
+              (Harness.slurp (Persist.Journal.file ~dir:seq))
+              (Harness.slurp (Persist.Journal.file ~dir:pooled))));
+    t "an old header's workers field is accepted and ignored" (fun () ->
+        with_dir (fun dir ->
+            if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+            let oc = open_out_bin (Persist.Journal.file ~dir) in
+            output_string oc
+              "{\"kind\":\"header\",\"version\":1,\"model\":\"funarc\",\
+               \"algo\":\"brute_force\",\"seed\":42,\"config\":\"cafe\",\"workers\":3,\
+               \"atoms\":4,\"caps\":[\"shared\"]}\n";
+            close_out oc;
+            let loaded = Persist.Journal.load ~dir in
+            Alcotest.(check bool) "header" true
+              (compare loaded.Persist.Journal.l_header header = 0)));
     t "a torn tail is dropped and reopen truncates it" (fun () ->
         with_dir (fun dir ->
             let w = Persist.Journal.create ~dir header in

@@ -750,7 +750,6 @@ let header =
     algo = "brute_force";
     seed = 42;
     config_digest = "cafe";
-    workers = 0;
     atoms = 4;
     caps = [ "shared" ];
   }
