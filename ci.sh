@@ -4,6 +4,29 @@
 # with the unparse->reparse cross-check enabled.
 set -eux
 
+# wait_for WHAT COMMAND...: poll COMMAND until it succeeds. Every wait has
+# a 60 s deadline, so a dead server or campaign fails the gate (naming the
+# wait that timed out) instead of hanging it.
+wait_for() {
+  what=$1
+  shift
+  deadline=$(($(date +%s) + 60))
+  until "$@"; do
+    if [ "$(date +%s)" -ge "$deadline" ]; then
+      echo "ci.sh: timed out after 60 s waiting for $what" >&2
+      # the process being waited on is the last one started in background
+      kill "$!" 2> /dev/null || true
+      exit 1
+    fi
+    sleep 0.02
+  done
+}
+
+# has_lines FILE N: FILE exists and holds at least N lines
+has_lines() {
+  [ "$(wc -l < "$1" 2> /dev/null || echo 0)" -ge "$2" ]
+}
+
 dune build @all
 dune runtest
 
@@ -80,9 +103,7 @@ _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
   --predict prune --predict-margin 100000 \
   --journal "$PDIR/pcamp" > /dev/null &
 PKILL_PID=$!
-while [ "$(wc -l < "$PDIR/pcamp/journal.jsonl" 2> /dev/null || echo 0)" -lt 40 ]; do
-  sleep 0.02
-done
+wait_for "40 journal lines in $PDIR/pcamp" has_lines "$PDIR/pcamp/journal.jsonl" 40
 kill -9 "$PKILL_PID" 2> /dev/null || true
 wait "$PKILL_PID" 2> /dev/null || true
 _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
@@ -114,9 +135,7 @@ _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
 KILL_PID=$!
 # fire once >=40 of the 256 records are durable: the tear is mid-search,
 # not a post-completion formality (poll, because wall time is machine-fast)
-while [ "$(wc -l < "$JDIR/campaign/journal.jsonl" 2> /dev/null || echo 0)" -lt 40 ]; do
-  sleep 0.02
-done
+wait_for "40 journal lines in $JDIR/campaign" has_lines "$JDIR/campaign/journal.jsonl" 40
 kill -9 "$KILL_PID" 2> /dev/null || true
 wait "$KILL_PID" 2> /dev/null || true
 _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
@@ -138,15 +157,13 @@ VDIR=$(mktemp -d)
 _build/default/bin/prose.exe serve --root "$VDIR" --slots 2 --slice 4 \
   > "$VDIR/serve.log" 2>&1 &
 SERVE_PID=$!
-while [ ! -S "$VDIR/prose.sock" ]; do sleep 0.02; done
+wait_for "the server socket" test -S "$VDIR/prose.sock"
 _build/default/bin/prose.exe submit --root "$VDIR" funarc --workers 0
 _build/default/bin/prose.exe submit --root "$VDIR" funarc --seed 7 --workers 0 \
   --fault-transient 0.05 --fault-seed 7
 # drain once the first job has real progress, so the SIGTERM lands
 # mid-campaign (poll, because wall time is machine-fast)
-while [ "$(wc -l < "$VDIR/jobs/j001/campaign/journal.jsonl" 2> /dev/null || echo 0)" -lt 8 ]; do
-  sleep 0.02
-done
+wait_for "8 journal lines of job j001" has_lines "$VDIR/jobs/j001/campaign/journal.jsonl" 8
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
 # a restarted server resumes every in-flight journal bit-identically
@@ -154,7 +171,7 @@ wait "$SERVE_PID" || true
 _build/default/bin/prose.exe serve --root "$VDIR" --slots 2 --slice 4 \
   >> "$VDIR/serve.log" 2>&1 &
 SERVE_PID=$!
-while [ ! -S "$VDIR/prose.sock" ]; do sleep 0.02; done
+wait_for "the server socket" test -S "$VDIR/prose.sock"
 _build/default/bin/prose.exe watch --root "$VDIR" j001
 _build/default/bin/prose.exe watch --root "$VDIR" j002
 kill -TERM "$SERVE_PID"
@@ -186,7 +203,7 @@ diff -u "$VDIR/solo2_cmp.json" "$VDIR/j002_cmp.json"
 _build/default/bin/prose.exe serve --root "$VDIR" --slots 2 --slice 4 \
   >> "$VDIR/serve.log" 2>&1 &
 SERVE_PID=$!
-while [ ! -S "$VDIR/prose.sock" ]; do sleep 0.02; done
+wait_for "the server socket" test -S "$VDIR/prose.sock"
 _build/default/bin/prose.exe submit --root "$VDIR" funarc --seed 11 --workers 0 \
   --priority 2
 _build/default/bin/prose.exe submit --root "$VDIR" funarc --seed 11 --workers 0
