@@ -14,9 +14,13 @@ type predict =
   | Predict_off  (** the unpredicted search (pre-PR-9 behaviour) *)
   | Predict_rank
       (** reorder ddmin partitions/complements by the static score so
-          promising variants are tried first; the minimal set is
-          bit-identical to [Predict_off], only the exploration order (and
-          hence evaluations-to-minimal) changes *)
+          promising variants are tried first; only the exploration order
+          (and hence evaluations-to-minimal) changes. The minimal set is
+          bit-identical to [Predict_off] only for searches that finish
+          within the variant budget: a budget-cut search reports its
+          best-so-far, which can differ (mom6 cut at 150 variants under
+          noise seed 1 ends on different variants, see
+          perfbench/README.md) *)
   | Predict_prune
       (** [Predict_rank] plus: skip dynamic evaluation of variants whose
           finite static error bound already exceeds
