@@ -182,13 +182,18 @@ let as_int ctx v = as_int_conv ctx (fun x -> int_of_float x) v
 let round_err ctx k v err kt = Errvec.round ctx.poisoned ~narrow:(k = Ast.K4) v err kt
 
 (* mirror of Interp.mk_real: round the concrete value at kind [k], trap on
-   NaN/overflow, and attach the rounded error vector *)
-let mk_areal ctx k x err kt =
+   NaN/overflow *)
+let real_result k x =
   let x' = Fp32.of_kind k x in
   if not (Float.is_finite x') then
     if Float.is_nan x' then
       trap "NaN produced in real(kind=%d) arithmetic" (Token.int_of_kind k)
     else trap "overflow in real(kind=%d) arithmetic" (Token.int_of_kind k);
+  x'
+
+(* ... and attach the rounded error vector *)
+let mk_areal ctx k x err kt =
+  let x' = real_result k x in
   { c = Value.Vreal (x', k); err = round_err ctx k x' err kt; kt }
 
 (* comparison stability: if atom [a]'s joint interval can bridge the gap
@@ -471,21 +476,28 @@ and eval_binop ctx frame op a b =
         match promote_kind ka kb with Some k -> k | None -> trap "numeric operands expected"
       in
       let x = as_float va.c and y = as_float vb.c in
-      let err =
+      let v =
+        real_result k
+          (match op with
+          | Ast.Add -> x +. y
+          | Ast.Sub -> x -. y
+          | Ast.Mul -> x *. y
+          | Ast.Div -> x /. y
+          | _ -> assert false)
+      in
+      (* the operator's propagation rule and the rounding at [k] in one
+         kernel; a trap above ends the analysis, so its poisons are moot *)
+      let eop =
         match op with
-        | Ast.Add | Ast.Sub -> Errvec.add va.err vb.err
-        | Ast.Mul -> Errvec.mul x y va.err vb.err
-        | Ast.Div -> Errvec.div ctx.poisoned x y va.err vb.err
+        | Ast.Add | Ast.Sub -> Errvec.Add
+        | Ast.Mul -> Errvec.Mul
+        | Ast.Div -> Errvec.Div
         | _ -> assert false
       in
-      mk_areal ctx k
-        (match op with
-        | Ast.Add -> x +. y
-        | Ast.Sub -> x -. y
-        | Ast.Mul -> x *. y
-        | Ast.Div -> x /. y
-        | _ -> assert false)
-        err kt
+      let err =
+        Errvec.op_round eop ctx.poisoned ~x ~y ~narrow:(k = Ast.K4) v va.err vb.err kt
+      in
+      { c = Value.Vreal (v, k); err; kt }
     | _, _, Ast.Pow -> (
       let k =
         match promote_kind ka kb with Some k -> k | None -> trap "numeric operands expected"

@@ -223,7 +223,14 @@ let[@inline] round_entry poisoned ~narrow a v e =
   let sub = if narrow then sub32 else sub64 in
   let cap = if narrow then f32_cap else f64_cap in
   let m = Float.abs v +. e in
-  let round = if m = 0.0 then 0.0 else Float.max (2.0 *. eps *. m) sub in
+  (* [Float.max r sub] for the positive constant [sub], without its
+     sign-bit calls *)
+  let round =
+    if m = 0.0 then 0.0
+    else
+      let r = 2.0 *. eps *. m in
+      if sub > r then sub else r
+  in
   let e' = (e *. (1.0 +. (2.0 *. eps))) +. round in
   if (not (Float.is_finite e')) || Float.abs v +. e' >= cap then begin
     poisoned.(a) <- true;
@@ -231,7 +238,9 @@ let[@inline] round_entry poisoned ~narrow a v e =
   end
   else e'
 
-let round poisoned ~narrow v err taint =
+(* with [reuse], [err] was just built by a kernel and is not shared yet:
+   when no key is added its value array is rounded in place *)
+let round_gen ~reuse poisoned ~narrow v err taint =
   let ka = err.keys and va = err.vals in
   let na = Array.length ka in
   let nt = if narrow then 0 else Array.length taint in
@@ -239,7 +248,8 @@ let round poisoned ~narrow v err taint =
      v = 0.0, where the bound stays 0.0 and [set] keeps the key absent *)
   let n = if nt = 0 || v = 0.0 then na else union_count ka taint in
   let keys = if n = na then ka else union_keys ka taint n in
-  let vals = Array.create_float n in
+  let vals = if reuse && n = na then va else Array.create_float n in
+  (* in place, entry k is read before it is written and never again *)
   if nt = 0 then
     for k = 0 to n - 1 do
       Array.unsafe_set vals k
@@ -268,7 +278,12 @@ let round poisoned ~narrow v err taint =
        else e)
   done
   end;
-  { keys; vals }
+  if vals == va then err else { keys; vals }
+
+let round = round_gen ~reuse:false
+
+let op_round op poisoned ~x ~y ~narrow v ex ey taint =
+  round_gen ~reuse:true poisoned ~narrow v (kernel op poisoned x y ex ey) taint
 
 let round_at poisoned a v err = set a (round_entry poisoned ~narrow:true a v (get a err)) err
 

@@ -86,6 +86,15 @@ val round : bool array -> narrow:bool -> float -> t -> int array -> t
 val round_at : bool array -> int -> float -> t -> t
 (** [round_at poisoned a v err]: [set a (round_entry ~narrow:true a v (get a err)) err]. *)
 
+type op = Add | Max | Mul | Div
+
+val op_round :
+  op -> bool array -> x:float -> y:float -> narrow:bool -> float -> t -> t -> int array -> t
+(** [op_round op poisoned ~x ~y ~narrow v ex ey taint] is the kernel [op]
+    ({!add}, {!max}, {!mul} or {!div} on operands [x], [y]) followed by
+    [round poisoned ~narrow v _ taint], rounding in the kernel's own fresh
+    value array when no key is added. *)
+
 (** {1 Kind-taint sets}
 
     Sorted, duplicate-free atom arrays, shared when unchanged. *)

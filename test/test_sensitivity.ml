@@ -318,6 +318,21 @@ let errvec_tests =
           (fun m k ->
             Ref.put k (Ref.round_entry p ~eps:Ref.eps32 ~cap:Ref.f32_cap k v (Ref.get k m)) m)
           a kt);
+    kernel_prop "fused add then round at f64 with taint"
+      (fun p x y a b kt -> E.op_round E.Add p ~x ~y ~narrow:false (x +. y) a b (Array.of_list kt))
+      (fun p x y a b kt -> Ref.round p ~narrow:false (x +. y) (Ref.add a b) kt);
+    kernel_prop "fused mul then round at f64 with taint"
+      (fun p x y a b kt -> E.op_round E.Mul p ~x ~y ~narrow:false (x *. y) a b (Array.of_list kt))
+      (fun p x y a b kt -> Ref.round p ~narrow:false (x *. y) (Ref.mul x y a b) kt);
+    kernel_prop "fused div then round at f64 with taint"
+      (fun p x y a b kt -> E.op_round E.Div p ~x ~y ~narrow:false (x /. y) a b (Array.of_list kt))
+      (fun p x y a b kt -> Ref.round p ~narrow:false (x /. y) (Ref.div p x y a b) kt);
+    kernel_prop "fused div then round at f32"
+      (fun p x y a b kt -> E.op_round E.Div p ~x ~y ~narrow:true (x /. y) a b (Array.of_list kt))
+      (fun p x y a b kt -> Ref.round p ~narrow:true (x /. y) (Ref.div p x y a b) kt);
+    kernel_prop "fused max then round at f64 with taint"
+      (fun p x y a b kt -> E.op_round E.Max p ~x ~y ~narrow:false x a b (Array.of_list kt))
+      (fun p x _ a b kt -> Ref.round p ~narrow:false x (Ref.max a b) kt);
     kernel_prop "compare guard"
       (fun p x y a b _ ->
         E.compare_guard p ~gap:(Float.abs (x -. y)) a b;
