@@ -55,9 +55,6 @@ exception Trap of string
 
 let trap fmt = Format.kasprintf (fun m -> raise (Trap m)) fmt
 
-let eps32 = 1.1920928955078125e-07
-let sub32 = 0x1p-149
-
 (* ------------------------------------------------------------------ *)
 (* Abstract values                                                     *)
 
@@ -317,7 +314,7 @@ let wrapper_hazard ~(dinfo : Symtab.var_info) atoms v err =
     let charge =
       match intent with
       | Some Ast.Out -> x
-      | _ -> if x = 0.0 then 0.0 else Float.max (2.0 *. eps32 *. x) sub32
+      | _ -> if x = 0.0 then 0.0 else Float.max (2.0 *. Errvec.eps32 *. x) Errvec.sub32
     in
     if charge = 0.0 then err
     else

@@ -8,7 +8,6 @@ type t = { keys : int array; vals : float array }
 
 let empty = { keys = [||]; vals = [||] }
 let is_empty v = Array.length v.keys = 0
-let length v = Array.length v.keys
 
 (* position of [a] in [keys], or [-(insertion point) - 1] *)
 let find keys a =

@@ -18,8 +18,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
-val length : t -> int
 
 val get : int -> t -> float
 (** [get a v] is atom [a]'s entry, [0.0] when absent. *)
@@ -69,6 +67,12 @@ val compare_guard : bool array -> gap:float -> t -> t -> unit
     least [gap]: the demoted run may take the other branch. *)
 
 (** {1 Rounding} *)
+
+val eps32 : float
+(** One f32 ulp at 1.0, the interpreter's [epsilon(kind=4)]. *)
+
+val sub32 : float
+(** The smallest positive f32 subnormal. *)
 
 val round_entry : bool array -> narrow:bool -> int -> float -> float -> float
 (** [round_entry poisoned ~narrow a v e]: one rounding of a result of
