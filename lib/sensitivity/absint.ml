@@ -188,14 +188,15 @@ let real_result k x =
     else trap "overflow in real(kind=%d) arithmetic" (Token.int_of_kind k);
   x'
 
-(* ... and attach the rounded error vector *)
+(* [real_result] with its error vector rounded at [k] *)
 let mk_areal ctx k x err kt =
   let x' = real_result k x in
   { c = Value.Vreal (x', k); err = round_err ctx k x' err kt; kt }
 
 (* comparison stability: if atom [a]'s joint interval can bridge the gap
    between x and y, run-a may take the other branch *)
-let compare_guard ctx x y ex ey = Errvec.compare_guard ctx.poisoned ~gap:(Float.abs (x -. y)) ex ey
+let compare_guard ctx x y ex ey =
+  Errvec.compare_guard ctx.poisoned ~gap:(Float.abs (x -. y)) ex ey
 
 (* ------------------------------------------------------------------ *)
 (* Storage                                                             *)

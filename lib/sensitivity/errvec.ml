@@ -255,27 +255,27 @@ let round_gen ~reuse poisoned ~narrow v err taint =
         (round_entry poisoned ~narrow (Array.unsafe_get keys k) v (Array.unsafe_get va k))
     done
   else begin
-  let i = ref 0 and t = ref 0 in
-  for k = 0 to n - 1 do
-    let key = Array.unsafe_get keys k in
-    let e =
-      if !i < na && Array.unsafe_get ka !i = key then begin
-        let e = Array.unsafe_get va !i in
-        incr i;
-        round_entry poisoned ~narrow key v e
-      end
-      else 0.0
-    in
-    while !t < nt && Array.unsafe_get taint !t < key do
-      incr t
-    done;
-    Array.unsafe_set vals k
-      (if !t < nt && Array.unsafe_get taint !t = key then begin
-         let r = round_entry poisoned ~narrow:true key v e in
-         if r = 0.0 then e else r
-       end
-       else e)
-  done
+    let i = ref 0 and t = ref 0 in
+    for k = 0 to n - 1 do
+      let key = Array.unsafe_get keys k in
+      let e =
+        if !i < na && Array.unsafe_get ka !i = key then begin
+          let e = Array.unsafe_get va !i in
+          incr i;
+          round_entry poisoned ~narrow key v e
+        end
+        else 0.0
+      in
+      while !t < nt && Array.unsafe_get taint !t < key do
+        incr t
+      done;
+      Array.unsafe_set vals k
+        (if !t < nt && Array.unsafe_get taint !t = key then begin
+           let r = round_entry poisoned ~narrow:true key v e in
+           if r = 0.0 then e else r
+         end
+         else e)
+    done
   end;
   if vals == va then err else { keys; vals }
 
