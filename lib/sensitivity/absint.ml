@@ -239,8 +239,8 @@ let new_frame ctx proc size =
   { proc; vars = Hashtbl.create size; scope }
 
 (* [name] as the symtab resolves it from [frame]'s procedure, memoized
-   per scope; a module variable whose cell is missing is not memoized, so
-   the access traps as it would uncached *)
+   per scope (every global cell is allocated before anything is
+   evaluated, so a memoized lookup never goes stale) *)
 let nonlocal ctx frame name =
   match Hashtbl.find_opt frame.scope.names name with
   | Some n -> n
@@ -256,9 +256,7 @@ let nonlocal ctx frame name =
       Option.bind n_info (fun info -> ctx.atom_of (info.Symtab.v_scope, info.Symtab.v_name))
     in
     let n = { n_info; n_cell; n_atom } in
-    (match (n_info, n_cell) with
-    | Some { Symtab.v_scope = Symtab.Unit_scope _; v_parameter = false; _ }, None -> ()
-    | _ -> Hashtbl.replace frame.scope.names name n);
+    Hashtbl.replace frame.scope.names name n;
     n
 
 (* the atom owning a binding as named in [frame] (dummies and locals live
