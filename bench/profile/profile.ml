@@ -1,5 +1,5 @@
-(* Per-model profiling harness: ms and minor words per evaluation on
-   the compiled and lowered backends (usage: profile.exe MODEL [N]),
+(* Per-model profiling harness: ms and minor words per evaluation of
+   the compiled baseline (usage: profile.exe MODEL [N]),
    followed by per-variant pipeline phase timings with warm caches —
    the configuration a search campaign actually runs — and one run of
    the sensitivity layer's mirror analysis. *)
@@ -22,13 +22,6 @@ let () =
   ignore (Runtime.Compile.run t);
   let alloc = Gc.minor_words () -. w0 in
   Printf.printf "compiled: %.3f ms/eval, %.0f minor words/eval\n" (1000.0 *. dt /. float_of_int n) alloc;
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to n do ignore (Runtime.Lower.run ir) done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let w0 = Gc.minor_words () in
-  ignore (Runtime.Lower.run ir);
-  let alloc = Gc.minor_words () -. w0 in
-  Printf.printf "lowered:  %.3f ms/eval, %.0f minor words/eval\n" (1000.0 *. dt /. float_of_int n) alloc;
   (* per-variant pipeline phase costs (all-hit caches, like a search) *)
   let cache = Runtime.Lower.Cache.create () in
   let ccache = Runtime.Compile.Cache.create () in

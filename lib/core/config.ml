@@ -18,10 +18,7 @@ type t = {
   max_variants : int option;
   predict : predict;
   predict_margin : float;
-  proc_cache : bool;
   verify_roundtrip : bool;
-  compile : bool;
-  batch_reuse : bool;
 }
 
 let default =
@@ -36,17 +33,13 @@ let default =
     max_variants = None;
     predict = Predict_off;
     predict_margin = 1e6;
-    proc_cache = true;
     verify_roundtrip = false;
-    compile = true;
-    batch_reuse = true;
   }
 
 let digest t =
-  (* only fields that change campaign results; proc_cache,
-     verify_roundtrip, compile and batch_reuse are execution strategies
-     with identical outcomes, so a journaled campaign may be resumed with
-     any of those settings *)
+  (* only fields that change campaign results; verify_roundtrip is an
+     execution strategy with identical outcomes, so a journaled campaign
+     may be resumed with either setting *)
   let canonical =
     String.concat "|"
       [

@@ -51,25 +51,11 @@ type t = {
           ~1.2e5× threshold on passing funarc variants — and pruning must
           never skip a variant that would pass. Lower it explicitly to
           trade safety for pruning. *)
-  proc_cache : bool;
-      (** reuse lowered procedures across variants keyed by precision
-          signature ({!Runtime.Lower.Cache}); on by default, off gives
-          every evaluation a fresh lowering (results are identical) *)
   verify_roundtrip : bool;
       (** run every variant through both the direct-AST fast path and the
           unparse→reparse slow path and fail loudly if any outcome bit
           differs; the fast path's correctness oracle (off by default —
           it restores the old per-variant cost, and then some) *)
-  compile : bool;
-      (** evaluate variants through the closure-compiled backend
-          ({!Runtime.Compile}) instead of the IR-walking evaluator; on by
-          default, off ([--no-compile]) falls back to {!Runtime.Lower.run}
-          (results are identical) *)
-  batch_reuse : bool;
-      (** share whole-run outcomes between variants whose effective
-          precision assignment is identical on the reachable program (the
-          raw outcome is a pure function of that signature); on by
-          default, off recomputes every variant (results are identical) *)
 }
 
 val default : t
@@ -80,8 +66,8 @@ val digest : t -> string
 (** Hex digest over the result-affecting fields (machine, mode, floor,
     seed, baseline runs, static filter + budget, variant budget). The
     campaign journal header stores it, and resume refuses a journal whose
-    digest disagrees with the offered configuration. [proc_cache],
-    [verify_roundtrip], [compile] and [batch_reuse] are excluded: they
-    change how variants are evaluated, never what the results are.
+    digest disagrees with the offered configuration. [verify_roundtrip]
+    is excluded: it changes how variants are evaluated, never what the
+    results are.
     [predict]/[predict_margin] are appended only when predict is not
     [Predict_off], so pre-PR-9 journals keep their digests. *)

@@ -93,7 +93,7 @@ let summary_json (c : Tuner.campaign) =
   "best_speedup": %s,
   "simulated_hours": %s,
   "trace": {"hits": %d, "misses": %d, "shared": %d, "live": %d, "appends": %d, "preloaded": %d, "interrupted": %b},
-  "backend": {"compiled_procs": %d, "compile_hits": %d, "reuse_hits": %d, "reuse_misses": %d},
+  "backend": {"compiled_procs": %d, "compile_hits": %d},
   "minimal": %s
 }
 |}
@@ -107,9 +107,7 @@ let summary_json (c : Tuner.campaign) =
     c.Tuner.trace_stats.Trace.shared
     c.Tuner.trace_stats.Trace.live c.Tuner.trace_stats.Trace.appends
     c.Tuner.preloaded c.Tuner.interrupted
-    c.Tuner.backend.Tuner.compiled_procs c.Tuner.backend.Tuner.compile_hits
-    c.Tuner.backend.Tuner.reuse_hits c.Tuner.backend.Tuner.reuse_misses
-    minimal
+    c.Tuner.backend.Tuner.compiled_procs c.Tuner.backend.Tuner.compile_hits minimal
 
 let sched_json (s : Tuner.sched_stats) =
   Printf.sprintf

@@ -5,8 +5,8 @@
     [evaluate] is one trip around the cycle for one precision assignment
     ([T₂]–[T₄]: source-to-source transformation with wrapper insertion,
     strict typecheck of the transformed AST, lowering to the
-    slot-resolved IR with per-procedure caching, execution under the
-    cost model with the 3× timeout budget, correctness and Eq.-1 speedup
+    slot-resolved IR and closure compilation with per-procedure caching,
+    execution under the cost model with the 3× timeout budget, correctness and Eq.-1 speedup
     scoring); the campaign runners drive the search algorithms over it.
     The historical unparse → reparse pipeline survives as the
     [verify_roundtrip] cross-check. *)
@@ -14,14 +14,6 @@
 type eval_stats
 (** Mutable per-campaign evaluation wall-clock accounting (count, total,
     max); safe to update from pool worker domains. *)
-
-type share
-(** The batch-reuse table: raw outcomes shared between variants whose
-    effective precision signature (declared kinds overridden by the
-    assignment) agrees on every scope that can influence the run — all
-    unit scopes plus every procedure reachable from the main program.
-    Mutex-guarded, first write wins, so the records a campaign commits
-    never depend on the worker count. *)
 
 type prepared = {
   model : Models.Registry.t;
@@ -46,18 +38,12 @@ type prepared = {
           analysis declined to vouch for itself
           ({!Sensitivity.Score.create} returned [None]) and the campaign
           fell back to the unpredicted search *)
-  cache : Runtime.Lower.Cache.t option;
-      (** the campaign's per-procedure lowering cache ([None] when
-          {!Config.t.proc_cache} is off); domain-safe, shared by pool
-          workers *)
-  ccache : Runtime.Compile.Cache.t option;
+  cache : Runtime.Lower.Cache.t;
+      (** the campaign's per-procedure lowering cache; domain-safe,
+          shared by pool workers *)
+  ccache : Runtime.Compile.Cache.t;
       (** the campaign's compiled-procedure cache, keyed by the same
-          precision-signature scheme as [cache] ([None] when
-          {!Config.t.compile} is off) *)
-  share : share option;
-      (** the batch-reuse table ([None] when {!Config.t.batch_reuse} is
-          off, or under [verify_roundtrip], whose point is to really run
-          every variant) *)
+          precision-signature scheme as [cache] *)
   eval_stats : eval_stats;
 }
 
@@ -72,7 +58,8 @@ val hotspot_time : prepared -> Runtime.Timers.entry list -> float
 val evaluate : prepared -> Transform.Assignment.t -> Search.Variant.measurement
 (** One dynamic evaluation via the fast path: rewrite → wrapper insertion
     → symtab + typecheck on the transformed AST directly → {!Runtime.Lower}
-    slot-resolved IR (cached per procedure) → IR execution. Never raises
+    slot-resolved IR → {!Runtime.Compile} closures (both cached per
+    procedure) → execution. Never raises
     on variant failures: transformation or execution failures become
     [Error]-status measurements. When the static filter is enabled,
     statically-rejected variants return a zero-cost [Fail] measurement
@@ -84,8 +71,8 @@ val evaluate : prepared -> Transform.Assignment.t -> Search.Variant.measurement
     path's correctness oracle.
 
     Re-entrant: each call allocates its own transformation and execution
-    state and only reads the shared [prepared] value (the lowering cache
-    is mutex-guarded), so concurrent calls from pool workers are safe. *)
+    state and only reads the shared [prepared] value (the procedure
+    caches are mutex-guarded), so concurrent calls from pool workers are safe. *)
 
 type algo = Brute_force_algo | Delta_debug_algo | Hierarchical_algo
 (** The resumable search algorithms. Journals name them so [resume] can
@@ -101,15 +88,10 @@ type backend_stats = {
       (** distinct procedure bodies translated to closures over the whole
           campaign *)
   compile_hits : int;  (** compiled procedures served from the cache *)
-  reuse_hits : int;
-      (** committed variants the batch-reuse table answers without
-          running anything *)
-  reuse_misses : int;  (** committed variants that run and publish their outcome *)
 }
-(** Evaluation-backend traffic — all zero when the corresponding
-    {!Config.t} switches are off. Derived by replaying the committed
-    record stream in commit order (batch-reuse classes first, then the
-    per-procedure cache keys of each fresh class), so the numbers are
+(** Evaluation-backend traffic. Derived by replaying the committed
+    record stream in commit order (the per-procedure cache keys of each
+    dynamically evaluated signature), so the numbers are
     identical at every worker and shard count — speculative evaluations
     a parallel round later discards never show up — and a resumed
     campaign reports the same counters as an uninterrupted one. The
@@ -146,7 +128,7 @@ type campaign = {
       (** memo-cache traffic; [misses] counts fresh dynamic evaluations,
           so a resumed campaign proves it re-evaluated nothing journaled
           by [misses = length records - preloaded] *)
-  backend : backend_stats;  (** compile and batch-reuse traffic *)
+  backend : backend_stats;  (** compile-cache traffic *)
   sched : sched_stats option;  (** [Some] iff the campaign ran with [?shards] *)
   preloaded : int;  (** records replayed from a journal (0 for fresh runs) *)
   interrupted : bool;

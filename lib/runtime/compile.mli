@@ -1,18 +1,18 @@
-(** Closure-compilation backend over the [Lower] IR.
+(** Closure compilation of the [Lower] IR: the one evaluator of variant
+    programs.
 
     [compile] translates a lowered program once into a tree of OCaml
     closures — expressions become [env -> float/int/bool/value]
     functions with slots, cost tables and static typing decisions
     pre-bound, statements become [env -> unit] — so the per-evaluation
     inner loop runs no opcode dispatch at all. [run] executes the
-    compiled tree with observable behavior bit-identical to [Lower.run]
-    (and therefore to [Interp.run]): same status, cost, timers, records,
-    printed lines and breakdown.
+    compiled tree with observable behavior bit-identical to [Interp.run]
+    on the unparse→reparse round trip of the same program: same status,
+    cost, timers, records, printed lines and breakdown.
 
     Typed unboxed lanes are used only where a declared base type pins
-    the runtime representation; everything else falls back to
-    [Lower.eval_expr] / [Lower.exec_stmt] on the original IR node, which
-    is exact by construction. *)
+    the runtime representation; everything else compiles to a value
+    lane that dispatches on the runtime tag exactly as [Interp] does. *)
 
 type t
 (** A compiled program, ready to [run] any number of times. *)
@@ -35,8 +35,10 @@ end
 
 val compile : ?cache:Cache.t -> Lower.program -> t
 (** Procedures lowered through a [Lower.Cache] (non-empty
-    [Lower.proc_ir.p_key]) are compiled at most once per [cache]. *)
+    [Lower.proc_ir.p_key]) are compiled at most once per [cache].
+    Parameter and global initializers are compiled per program. *)
 
 val run : ?budget:float -> t -> Interp.outcome
-(** Execute the compiled program. [budget] bounds the abstract cost
-    exactly as in [Lower.run]. *)
+(** Execute the compiled program. [budget] bounds the abstract cost: a
+    run that exceeds it ends [Interp.Timed_out] at the same point
+    [Interp.run] does. *)

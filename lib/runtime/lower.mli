@@ -1,27 +1,18 @@
-(** Lowering of a typechecked program to a slot-resolved IR, plus an
-    evaluator over that IR.
+(** Lowering of a typechecked program to a slot-resolved IR, the input
+    of the closure compiler {!Compile}.
 
     [lower] resolves every name once: locals and dummies become integer
     slots into a per-frame cell array, module globals and parameters
     become indices into program-wide arrays, callees become indices into
     a per-body link table, and per-site cost tables are precomputed for
-    each (vector mode, real kind) pair. [run] then executes the IR with
-    bit-identical observable behavior to [Interp.run] on the
-    unparse→reparse round-trip of the same program: same status, same
-    cost (float accumulation order preserved), same timers, records,
-    printed lines, and breakdown.
+    each (vector mode, real kind) pair. {!Compile.run} executes the IR
+    with bit-identical observable behavior to [Interp.run] on the
+    unparse→reparse round-trip of the same program.
 
     The optional [Cache.t] memoizes lowered procedures across variants
     keyed by name + the precision signature of every declaration the
     procedure can observe (its own scope, all module scopes, and all
-    transitively reachable callees). It is domain-safe.
-
-    The IR, the runtime context and the building blocks of the evaluator
-    are exposed concretely so that [Compile] — the closure-compilation
-    backend — can translate the same IR into pre-dispatched closures
-    while sharing every piece of observable semantics (charges, traps,
-    timers, binding rules) with this evaluator. Anything not needed by
-    [Compile] stays private. *)
+    transitively reachable callees). It is domain-safe. *)
 
 (** {1 The IR} *)
 
@@ -29,6 +20,10 @@ type vmode = Vscalar | Vnarrow | Vfull
 
 val mode_idx : vmode -> int
 val kind_idx : Fortran.Ast.real_kind -> int
+
+val table6 : Machine.t -> (int -> Fortran.Ast.real_kind -> float) -> float array
+(** [table6 machine f] is a cost table indexed [mode_idx m * 2 + kind_idx k]:
+    [f lanes k] at the lane count of each vectorization mode. *)
 
 type ref_ =
   | Rlocal of int  (** slot in the current frame *)
@@ -200,138 +195,3 @@ val lower :
     precision wrapper for [orig]; wrappers are exempt from timers and
     inlining, and pay [wrapper_overhead] (mirrors [Interp.run]'s
     [~wrapper_owner]). *)
-
-val run : ?budget:float -> program -> Interp.outcome
-(** Execute the lowered program. [budget] bounds the abstract cost; the
-    run raises an internal timeout into [Interp.Timed_out] exactly as
-    [Interp.run] does. *)
-
-(** {1 Evaluator internals, shared with [Compile]}
-
-    Everything below is the machinery [run] is built from. The compiled
-    backend reuses it wholesale so that both backends trap, charge and
-    record identically by construction. *)
-
-exception Rreturn
-exception Rexit
-exception Rcycle
-exception Rstop of string
-exception Rtrap of string
-exception Rtimeout
-
-val trap : ('a, Format.formatter, unit, 'b) format4 -> 'a
-val trap_s : string -> 'a
-
-val ci_flops : int
-val ci_memory : int
-val ci_convert : int
-val ci_call : int
-val ci_reduction : int
-val ci_loop : int
-
-type rframe = {
-  pname : string;
-  cells : Value.cell option array;
-  flinks : int array;
-}
-
-type fbox = { mutable fv : float }
-(** A single-field all-float record stores its float flat, so updating
-    [fv] in place allocates nothing — unlike a [mutable float] field of
-    a mixed record, which boxes on every store. The cost accumulator is
-    the hottest write in an evaluation. *)
-
-type rctx = {
-  rprocs : proc_ir array;
-  rlinks : int array array;
-  raux : int array;
-  rmachine : Machine.t;
-  rtimers : Timers.t;
-  raccs : Timers.acc option array;
-      (** per-procedure timer accumulators, resolved on first entry *)
-  rcost : fbox;
-  rbudget : float;
-  rglobals : Value.cell array;
-  rparams : Value.v option array;
-  rparam_defs : param array;
-  rconv : float array;
-  rmemtab : float array;
-  mutable rvec : int;
-  mutable rrecords : (string * float) list;  (** reversed *)
-  mutable rprinted : string list;  (** reversed *)
-  mutable rdepth : int;
-  mutable rcharging : bool;
-  mutable rin_wrapper : bool;
-  rbreakdown : float array;
-}
-
-val charge : rctx -> int -> float -> unit
-val check_budget : rctx -> unit
-
-val proc_acc : rctx -> int -> string -> Timers.acc
-(** Timer accumulator of the proc at index [pidx], cached in [raccs]
-    (lazily, so never-entered procedures stay out of the snapshot). *)
-
-val mk_realf : Fortran.Ast.real_kind -> float -> float
-(** Round to [kind], trapping on NaN/overflow with the interpreter's
-    messages; returns the rounded float unboxed. *)
-
-val mk_real : Fortran.Ast.real_kind -> float -> Value.v
-val as_float : Value.v -> float
-val as_int : Value.v -> int
-val as_bool : Value.v -> bool
-val value_kind : Value.v -> Fortran.Ast.real_kind option
-val promote_kind :
-  Fortran.Ast.real_kind option ->
-  Fortran.Ast.real_kind option ->
-  Fortran.Ast.real_kind option
-
-val alloc_cell : Fortran.Ast.base_type -> int list -> Value.cell
-val force_param : rctx -> int -> Value.v
-val resolve_g : rctx -> rframe -> string -> ref_ -> [ `Cell of Value.cell | `Param of Value.v ]
-val scalar_ref : rctx -> rframe -> string -> ref_ -> Value.v ref
-
-val eval_expr : rctx -> rframe -> expr -> Value.v
-
-val bin_values :
-  rctx ->
-  Fortran.Ast.binop ->
-  exempt:bool ->
-  costs:float array ->
-  powmul:float array ->
-  Value.v ->
-  Value.v ->
-  Value.v
-(** The value-level tail of a non-short-circuit binary operation: the
-    conversion charge, the op charge and the computation, given both
-    operand values. *)
-
-val store_indexed :
-  rctx -> rframe -> string -> Value.cell -> expr array -> lit:bool -> Value.v -> unit
-
-val scalar_store : rctx -> Value.v ref -> Value.v -> lit:bool -> unit
-
-val exec_call : rctx -> rframe -> call_site -> Value.v option
-
-val bind_arg_ref :
-  rctx ->
-  rframe ->
-  Value.cell option array ->
-  callee:string ->
-  d:dummy ->
-  string ->
-  ref_ ->
-  unit
-(** Bind a whole-variable actual (its source name and resolved [ref_])
-    to dummy [d] of [callee], by reference when kinds line up, trapping
-    with the tree-walker's messages otherwise. *)
-
-val bind_by_value :
-  rctx -> Value.cell option array -> callee:string -> d:dummy -> lit:bool -> Value.v -> unit
-
-val exec_block : rctx -> rframe -> stmt array -> unit
-val exec_stmt : rctx -> rframe -> stmt -> unit
-
-val fresh_rctx : ?budget:float -> program -> rctx
-
-val run_with : rctx -> program -> exec:(unit -> unit) -> Interp.outcome

@@ -50,7 +50,6 @@ val search :
   ?pool:Pool.t ->
   ?shard:Shard.t ->
   ?cost:(Variant.measurement -> float) ->
-  ?affinity:(Transform.Assignment.t -> string) ->
   ?ranker:ranker ->
   atoms:Transform.Assignment.atom list ->
   trace:Trace.t ->

@@ -28,7 +28,6 @@ val search :
   ?pool:Pool.t ->
   ?shard:Shard.t ->
   ?cost:(Variant.measurement -> float) ->
-  ?affinity:(Transform.Assignment.t -> string) ->
   ?ranker:Delta_debug.ranker ->
   atoms:Transform.Assignment.atom list ->
   groups:Transform.Assignment.atom list list ->

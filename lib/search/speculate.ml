@@ -11,8 +11,8 @@
    [prefetch]'s workers run concurrently; this table and the trace
    commits stay on the submitting domain.
 
-   With a shard scheduler, each affinity group becomes one shard task
-   whose simulated cost is the sum of its members' costs, and on-demand
+   With a shard scheduler, each candidate becomes one shard task priced
+   at its measurement's simulated cost, and on-demand
    evaluations that bypassed a batch are accounted serially — the
    sharded cluster clock advances exactly as if the batch had run on
    the simulated shards×workers grid. A scheduler with a single slot
@@ -25,34 +25,13 @@ type t = {
   cost : (Variant.measurement -> float) option;
   trace : Trace.t;
   evaluate : Transform.Assignment.t -> Variant.measurement;
-  affinity : (Transform.Assignment.t -> string) option;
   results : (string, Variant.measurement) Hashtbl.t;
 }
 
-let create ?pool ?shard ?cost ?affinity ~trace ~evaluate () =
-  { pool; shard; cost; trace; evaluate; affinity; results = Hashtbl.create 64 }
+let create ?pool ?shard ?cost ~trace ~evaluate () =
+  { pool; shard; cost; trace; evaluate; results = Hashtbl.create 64 }
 
 let cost_of t m = match t.cost with Some c -> c m | None -> 0.0
-
-(* Partition a batch into same-affinity runs, preserving first-seen order
-   of groups and batch order within each. Candidates that share an
-   affinity key evaluate to the same raw outcome downstream, so running
-   them on one worker back to back lets the later ones reuse the first's
-   work instead of racing to recompute it on other workers. *)
-let affinity_groups aff todo =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun ((_, asg) as item) ->
-      let a = aff asg in
-      match Hashtbl.find_opt tbl a with
-      | Some r -> r := item :: !r
-      | None ->
-        let r = ref [ item ] in
-        Hashtbl.add tbl a r;
-        order := r :: !order)
-    todo;
-  List.rev_map (fun r -> List.rev !r) !order
 
 let fresh_batch t asgs =
   let seen = Hashtbl.create 16 in
@@ -69,40 +48,21 @@ let fresh_batch t asgs =
       end)
     asgs
 
-let groups_of t todo =
-  match t.affinity with
-  | None -> List.map (fun item -> [ item ]) todo
-  | Some aff -> affinity_groups aff todo
-
-let record_group_results groups evaluated t =
-  List.iter2
-    (List.iter2 (fun (key, _) m -> Hashtbl.replace t.results key m))
-    groups evaluated
+let record_results t todo evaluated =
+  List.iter2 (fun (key, _) m -> Hashtbl.replace t.results key m) todo evaluated
 
 let prefetch t asgs =
+  let run (_, asg) = t.evaluate asg in
   match (t.shard, t.pool) with
   | Some sh, _ when Shard.slots sh > 1 -> (
     match fresh_batch t asgs with
     | [] -> ()
-    | todo ->
-      let groups = groups_of t todo in
-      let evaluated =
-        Shard.map sh
-          ~cost:(fun ms -> List.fold_left (fun acc m -> acc +. cost_of t m) 0.0 ms)
-          (fun group -> List.map (fun (_, asg) -> t.evaluate asg) group)
-          groups
-      in
-      record_group_results groups evaluated t)
+    | todo -> record_results t todo (Shard.map sh ~cost:(cost_of t) run todo))
   | Some _, _ -> ()  (* single simulated slot: no speculation *)
   | None, Some pool -> (
     match fresh_batch t asgs with
     | [] -> ()
-    | todo ->
-      let groups = groups_of t todo in
-      let evaluated =
-        Pool.map pool (fun group -> List.map (fun (_, asg) -> t.evaluate asg) group) groups
-      in
-      record_group_results groups evaluated t)
+    | todo -> record_results t todo (Pool.map pool run todo))
   | None, None -> ()
 
 let evaluate t asg =

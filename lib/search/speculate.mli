@@ -16,20 +16,13 @@ val create :
   ?pool:Pool.t ->
   ?shard:Shard.t ->
   ?cost:(Variant.measurement -> float) ->
-  ?affinity:(Transform.Assignment.t -> string) ->
   trace:Trace.t ->
   evaluate:(Transform.Assignment.t -> Variant.measurement) ->
   unit ->
   t
-(** [affinity] labels assignments that evaluate to the same underlying
-    outcome (e.g. {!Core}'s batch-reuse signature); [prefetch] schedules
-    same-label candidates back to back on one worker so the later ones
-    hit the evaluator's reuse table instead of racing to recompute it.
-    Purely a scheduling hint: results and records are unchanged.
-
-    [shard] replaces [pool] as the execution engine (it wins when both
-    are given): each affinity group becomes one work-stealing shard task
-    and the scheduler's simulated cluster clock advances per batch, with
+(** [shard] replaces [pool] as the execution engine (it wins when both
+    are given): each candidate becomes one work-stealing shard task and
+    the scheduler's simulated cluster clock advances per batch, with
     [cost] (simulated seconds per measurement, default 0) pricing the
     tasks. A scheduler with a single simulated slot
     ([Shard.slots = 1]) disables speculation — the classic sequential
@@ -39,8 +32,7 @@ val create :
 val prefetch : t -> Transform.Assignment.t list -> unit
 (** Evaluate the not-yet-known assignments of a batch on the pool or
     shard scheduler (deduplicated against the trace cache, earlier
-    speculation, and within the batch), grouped by [affinity] when
-    given. No-op without an engine. *)
+    speculation, and within the batch). No-op without an engine. *)
 
 val evaluate : t -> Transform.Assignment.t -> Variant.measurement
 (** [Trace.evaluate] that serves speculative results before falling back

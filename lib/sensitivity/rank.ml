@@ -86,8 +86,7 @@ type t = {
    reachable from the main program, or variable never defined/used, never
    a dummy/result, and without an initializer. Failure evidence is
    projected onto the influential complement, so two variants differing
-   only in inert atoms share their evidence. (This mirrors the variable
-   set the batch-reuse share key drops.) *)
+   only in inert atoms share their evidence. *)
 let influential_atoms st atoms =
   let cg = Analysis.Callgraph.build st in
   let roots = List.map fst (Analysis.Callgraph.callees cg None) in

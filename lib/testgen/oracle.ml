@@ -1,20 +1,19 @@
 open Fortran
 
-type id = Roundtrip | Typecheck | Rewrite | Equiv | Compiled | Sensitivity
+type id = Roundtrip | Typecheck | Rewrite | Equiv | Sensitivity
 
 type violation = {
   oracle : id;
   detail : string;
 }
 
-let all = [ Roundtrip; Typecheck; Rewrite; Equiv; Compiled; Sensitivity ]
+let all = [ Roundtrip; Typecheck; Rewrite; Equiv; Sensitivity ]
 
 let name = function
   | Roundtrip -> "roundtrip"
   | Typecheck -> "typecheck"
   | Rewrite -> "rewrite"
   | Equiv -> "equiv"
-  | Compiled -> "compiled"
   | Sensitivity -> "sensitivity"
 
 let of_name s =
@@ -23,7 +22,6 @@ let of_name s =
   | "typecheck" -> Some Typecheck
   | "rewrite" -> Some Rewrite
   | "equiv" -> Some Equiv
-  | "compiled" -> Some Compiled
   | "sensitivity" -> Some Sensitivity
   | _ -> None
 
@@ -153,6 +151,11 @@ let pp_outcome (o : Runtime.Interp.outcome) =
     (List.length o.Runtime.Interp.printed)
     (List.length o.Runtime.Interp.timers)
 
+(* compile the lowered program and run it: the tuner's execution path *)
+let compiled_run ~budget ?wrapper_owner st =
+  Runtime.Compile.run ~budget
+    (Runtime.Compile.compile (Runtime.Lower.lower ?wrapper_owner ~machine st))
+
 let check_equiv (c : Gen.case) =
   let _, _, _, w = transform c in
   let owner = Transform.Wrappers.owner_fn w in
@@ -160,42 +163,16 @@ let check_equiv (c : Gen.case) =
   let text = Unparse.program w.Transform.Wrappers.program in
   let st_rt = Symtab.build (Parser.parse ~file:"fuzz_variant.f90" text) in
   let ref_out = Runtime.Interp.run ~machine ~budget ~wrapper_owner:owner st_rt in
-  (* fast path: lowered directly from the transformed AST *)
+  (* fast path: lowered directly from the transformed AST, then compiled *)
   let st_d = Symtab.build w.Transform.Wrappers.program in
-  let fast_out =
-    Runtime.Lower.run ~budget (Runtime.Lower.lower ~wrapper_owner:owner ~machine st_d)
-  in
+  let fast_out = compiled_run ~budget ~wrapper_owner:owner st_d in
   if compare ref_out fast_out = 0 then []
   else
     [
       {
         oracle = Equiv;
         detail =
-          Printf.sprintf "interp: %s / lower: %s" (pp_outcome ref_out) (pp_outcome fast_out);
-      };
-    ]
-
-(* Three-way bit-identity: the tree-walker on the unparse→reparse round
-   trip, the slot-resolved evaluator, and the closure-compiled backend
-   must produce the same outcome on the same wrapped variant. *)
-let check_compiled (c : Gen.case) =
-  let _, _, _, w = transform c in
-  let owner = Transform.Wrappers.owner_fn w in
-  let text = Unparse.program w.Transform.Wrappers.program in
-  let st_rt = Symtab.build (Parser.parse ~file:"fuzz_variant.f90" text) in
-  let ref_out = Runtime.Interp.run ~machine ~budget ~wrapper_owner:owner st_rt in
-  let st_d = Symtab.build w.Transform.Wrappers.program in
-  let lowered = Runtime.Lower.lower ~wrapper_owner:owner ~machine st_d in
-  let lower_out = Runtime.Lower.run ~budget lowered in
-  let compiled_out = Runtime.Compile.run ~budget (Runtime.Compile.compile lowered) in
-  if compare ref_out lower_out = 0 && compare lower_out compiled_out = 0 then []
-  else
-    [
-      {
-        oracle = Compiled;
-        detail =
-          Printf.sprintf "interp: %s / lower: %s / compiled: %s" (pp_outcome ref_out)
-            (pp_outcome lower_out) (pp_outcome compiled_out);
+          Printf.sprintf "interp: %s / compiled: %s" (pp_outcome ref_out) (pp_outcome fast_out);
       };
     ]
 
@@ -210,7 +187,7 @@ let check_compiled (c : Gen.case) =
 let check_sensitivity (c : Gen.case) =
   let st = Symtab.build (Parser.parse ~file:"fuzz.f90" c.Gen.source) in
   let atoms = Transform.Assignment.atoms_of_module st Gen.module_name in
-  let base_out = Runtime.Lower.run ~budget (Runtime.Lower.lower ~machine st) in
+  let base_out = compiled_run ~budget st in
   if base_out.Runtime.Interp.status <> Runtime.Interp.Finished then []
   else
     match Sensitivity.Absint.analyze ~atoms st with
@@ -262,10 +239,7 @@ let check_sensitivity (c : Gen.case) =
               let w = Transform.Wrappers.insert rewritten in
               let owner = Transform.Wrappers.owner_fn w in
               let st_v = Symtab.build w.Transform.Wrappers.program in
-              let out =
-                Runtime.Lower.run ~budget:(budget *. 10.0)
-                  (Runtime.Lower.lower ~wrapper_owner:owner ~machine st_v)
-              in
+              let out = compiled_run ~budget:(budget *. 10.0) ~wrapper_owner:owner st_v in
               match out.Runtime.Interp.status with
               | Runtime.Interp.Timed_out -> []  (* cost is not modeled; no claim *)
               | Runtime.Interp.Finished ->
@@ -343,6 +317,5 @@ let check ~ids c =
         | Typecheck -> guarded Typecheck check_typecheck c
         | Rewrite -> guarded Rewrite check_rewrite c
         | Equiv -> guarded Equiv check_equiv c
-        | Compiled -> guarded Compiled check_compiled c
         | Sensitivity -> guarded Sensitivity check_sensitivity c)
     all

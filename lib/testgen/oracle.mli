@@ -1,6 +1,6 @@
 (** Pipeline invariants checked on every generated case.
 
-    Six oracles, each a whole-pipeline differential check:
+    Five oracles, each a whole-pipeline differential check:
 
     - {b roundtrip}: the canonical source is a fixpoint of
       unparse ∘ parse — pretty-printing what the parser read reproduces
@@ -13,13 +13,9 @@
       exactly its assigned kind, and {!Transform.Wrappers.insert} leaves
       a program with no kind mismatches that typechecks.
     - {b equiv}: {!Runtime.Interp.run} on the unparse→reparse round trip
-      of the wrapped variant and {!Runtime.Lower.run} on its direct
+      of the wrapped variant and {!Runtime.Compile.run} on its direct
       lowering produce bit-identical outcomes — status, cost, timers,
       records, printed lines and breakdown — under a fixed cost budget.
-    - {b compiled}: three-way bit-identity — {!Runtime.Interp.run},
-      {!Runtime.Lower.run} and {!Runtime.Compile.run} (the
-      closure-compiled backend) all agree on the same wrapped variant,
-      outcome for outcome.
     - {b sensitivity}: {!Sensitivity.Absint} soundness — the mirror
       analysis finishes with a bit-identical output series whenever the
       interpreter finishes, and for every atom it did not poison, the
@@ -32,7 +28,7 @@
     agree on the trap), but the frontend and transformer must never
     raise on a well-typed input. *)
 
-type id = Roundtrip | Typecheck | Rewrite | Equiv | Compiled | Sensitivity
+type id = Roundtrip | Typecheck | Rewrite | Equiv | Sensitivity
 
 type violation = {
   oracle : id;
@@ -40,7 +36,7 @@ type violation = {
 }
 
 val all : id list
-(** In pipeline order: roundtrip, typecheck, rewrite, equiv, compiled,
+(** In pipeline order: roundtrip, typecheck, rewrite, equiv,
     sensitivity. *)
 
 val name : id -> string

@@ -190,49 +190,6 @@ let campaign_tests =
           (c_seq.Core.Tuner.records = c_par.Core.Tuner.records);
         Alcotest.(check bool) "identical minimal" true
           (c_seq.Core.Tuner.minimal = c_par.Core.Tuner.minimal));
-    t "batch-reuse fires iff the space has inert atoms (BENCH reuse_hits=0)" (fun () ->
-        (* Every campaign in BENCH_2026-08-09_pr7.json reports
-           reuse_hits = 0 with reuse_misses equal to the dynamic
-           evaluation count: the batcher IS reached on every evaluation,
-           but the share key (the variant's effective program) never
-           repeats, because every atom of the registry models is live —
-           and the trace already dedups identical signatures upstream.
-           That is correct behavior, not a plumbing bug; the table pays
-           off exactly when the search space contains inert atoms. Pin
-           both sides so a regression in either direction is caught. *)
-        let live = Core.Tuner.run_brute_force small_funarc in
-        Alcotest.(check int) "live space: no effective-program repeats" 0
-          live.Core.Tuner.backend.Core.Tuner.reuse_hits;
-        Alcotest.(check bool) "live space: the batcher is reached" true
-          (live.Core.Tuner.backend.Core.Tuner.reuse_misses > 0);
-        (* the same model with a never-referenced spare real in the
-           search space: variants differing only in the spare's kind are
-           effectively identical, and brute force provably enumerates
-           such pairs (ddmin's trajectory need not — one more reason the
-           bench ddmin campaigns sit at zero) *)
-        let spares =
-          let base = small_funarc in
-          let marker = "real(kind=8) :: s1, h, t1, t2, dppi\n" in
-          let insert = "    real(kind=8) :: spare\n" in
-          let src = base.Models.Registry.source in
-          let i =
-            let n = String.length src and m = String.length marker in
-            let rec go i =
-              if i + m > n then Alcotest.fail "funarc marker not found"
-              else if String.equal (String.sub src i m) marker then i
-              else go (i + 1)
-            in
-            go 0
-          in
-          let cut = i + String.length marker in
-          { base with
-            Models.Registry.source =
-              String.sub src 0 cut ^ insert ^ String.sub src cut (String.length src - cut);
-          }
-        in
-        let c = Core.Tuner.run_brute_force spares in
-        Alcotest.(check bool) "inert atom: the reuse table serves repeats" true
-          (c.Core.Tuner.backend.Core.Tuner.reuse_hits > 0));
     t "same seed reproduces the campaign" (fun () ->
         let config = { Core.Config.default with Core.Config.max_variants = Some 12 } in
         let c1 = Core.Tuner.run_delta_debug ~config small_mpas in
