@@ -45,13 +45,16 @@ dune exec bench/main.exe -- --quick --workers 0 --scaling --json BENCH_ci_run.js
 dune exec bin/prose.exe -- tune mpas --max-variants 15 --workers 0 \
   --verify-roundtrip > /dev/null
 
-# Fuzz smoke gate: 300 random well-typed programs through all six
-# oracles (roundtrip, typecheck, rewrite, equiv, compiled, sensitivity)
-# at a fixed seed; "compiled" is the three-way interpreter == lowered IR
+# Fuzz smoke gate: 300 random well-typed programs through all five
+# oracles (roundtrip, typecheck, rewrite, equiv, sensitivity) at a fixed
+# seed; "equiv" is the interpreter (on the unparse->reparse round trip)
 # == closure-compiled check, "sensitivity" checks every finite static
 # error bound against the measured single-atom demotion error. Any
 # violation is minimized, written to test/corpus/, and fails the run.
 dune exec bin/prose.exe -- fuzz --cases 300 --seed 42
+# The compiled backend at a held-out seed: a second stream of programs
+# through the equivalence oracle alone (well under a second).
+dune exec bin/prose.exe -- fuzz --cases 300 --seed 7 --oracle equiv
 
 # Sharded-scheduler gate: one joint multi-hotspot campaign (the atm_srk3
 # driver inside the search space) at shards=2/workers=2 with fault
