@@ -519,7 +519,10 @@ and eval_intrinsic ctx frame name args =
   | "dot_product" -> (
     match args with
     | [ Ast.Var a; Ast.Var b ] -> (
-      match resolve ctx frame a, resolve ctx frame b with
+      (* [a] resolves first: the order decides which trap a run reports *)
+      let ra = resolve ctx frame a in
+      let rb = resolve ctx frame b in
+      match ra, rb with
       | ( `Cell (Value.Real_array { kind = ka; data = da; _ }),
           `Cell (Value.Real_array { kind = kb; data = db; _ }) ) ->
         let n = min (Array.length da) (Array.length db) in
