@@ -654,8 +654,7 @@ let memo_matrix_test k pool_workers () =
    a fresh server (fresh, empty in-memory memo) resumes every job with
    zero re-evaluation of any journaled prefix — memo-served records
    journaled before the crash are replayed like any other prefix *)
-let memo_restart_test () =
-  Harness.with_dir2 @@ fun root solo_dir ->
+let memo_restart_fleet root =
   let store = Service.Store.open_ ~root in
   ignore (submit_or_die store spec_dd);
   ignore (submit_or_die store spec_dd);
@@ -667,10 +666,8 @@ let memo_restart_test () =
       if !ticks = 8 then Option.iter Service.Sched.drain !sched_cell
     end
   in
-  let sched =
-    Service.Sched.create ~slice_records:3 ~memo:(Service.Memo.create ()) ~find_model ~on_event
-      store
-  in
+  let memo1 = Service.Memo.create () in
+  let sched = Service.Sched.create ~slice_records:3 ~memo:memo1 ~find_model ~on_event store in
   sched_cell := Some sched;
   let pre = drive sched in
   check_slices_fresh "memo pre-drain" pre;
@@ -681,11 +678,15 @@ let memo_restart_test () =
   (* SIGKILL on top of the drain: tear the donor's journal mid-record;
      the follower's journal keeps provenance lines naming the donor *)
   Harness.truncate_journal (Service.Store.campaign_dir store "j001") 0.6;
-  let sched2 =
-    Service.Sched.create ~slice_records:3 ~memo:(Service.Memo.create ()) ~find_model store
-  in
+  let memo2 = Service.Memo.create () in
+  let sched2 = Service.Sched.create ~slice_records:3 ~memo:memo2 ~find_model store in
   let slices = drive sched2 in
   check_slices_fresh "memo post-restart" slices;
+  (store, memo1, memo2)
+
+let memo_restart_test () =
+  Harness.with_dir2 @@ fun root solo_dir ->
+  let store, _, _ = memo_restart_fleet root in
   let solo = solo_dd ~journal:solo_dir in
   ignore (solo : Core.Tuner.campaign);
   let solo_journal = Harness.slurp (Persist.Journal.file ~dir:solo_dir) in
@@ -698,6 +699,51 @@ let memo_restart_test () =
         solo_journal
         (strip_shared (job_journal store id)))
     [ "j001"; "j002" ]
+
+(* Golden digests of the memo fleet: the md5 of every job's full journal
+   (provenance lines included), each job's [Job.shared] and the memo's
+   (finds, hits, publishes). The identity tests above strip the
+   provenance lines before comparing; these pin them, so a wrong donor or
+   index in a {"kind":"shared",...} line fails here. *)
+let check_golden name store memos ~jobs ~counts =
+  List.iter
+    (fun (id, md5, shared) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: %s full journal md5" name id)
+        md5
+        (Digest.to_hex (Digest.string (job_journal store id)));
+      match Service.Store.load store id with
+      | Some j ->
+        Alcotest.(check int) (Printf.sprintf "%s: %s shared" name id) shared j.Service.Job.shared
+      | None -> Alcotest.failf "job %s vanished" id)
+    jobs;
+  List.iter2
+    (fun memo (finds, hits, publishes) ->
+      let s = Service.Memo.stats memo in
+      Alcotest.(check (list int))
+        (name ^ ": memo finds/hits/publishes")
+        [ finds; hits; publishes ]
+        [ s.Service.Memo.finds; s.Service.Memo.hits; s.Service.Memo.publishes ])
+    memos counts
+
+let memo_golden_test k ~jobs ~counts () =
+  Harness.with_dir @@ fun root ->
+  let store = Service.Store.open_ ~root in
+  for _ = 1 to k do
+    ignore (submit_or_die store spec_dd)
+  done;
+  let memo = Service.Memo.create () in
+  ignore (drive (Service.Sched.create ~slice_records:3 ~memo ~find_model store));
+  check_golden (Printf.sprintf "golden k=%d" k) store [ memo ] ~jobs ~counts
+
+let memo_restart_golden_test () =
+  Harness.with_dir @@ fun root ->
+  let store, memo1, memo2 = memo_restart_fleet root in
+  check_golden "golden restart" store [ memo1; memo2 ]
+    ~jobs:
+      [ ("j001", "6afeb6d08d416f7b7077cddb54f0a949", 8);
+        ("j002", "60b07926bbf77482f1fa0f266f2d1041", 8) ]
+    ~counts:[ (6, 3, 3); (28, 13, 15) ]
 
 let cancel_test () =
   Harness.with_dir @@ fun root ->
@@ -738,6 +784,21 @@ let sched_tests =
     t "mid-slice drain pauses durably and resumes bit-identically" drain_test;
     t "SIGKILL-torn journal: restart re-evaluates nothing, results identical" sigkill_test;
     t "cancel is terminal and unschedulable" cancel_test;
+    t "memo golden k=2: full journals, shared, memo counters"
+      (memo_golden_test 2
+         ~jobs:
+           [ ("j001", "9d61c6a58d39cee2783c680063a2fdf0", 0);
+             ("j002", "4a980e24ed7286b5cbb0c08c1df0a675", 16) ]
+         ~counts:[ (32, 16, 16) ]);
+    t "memo golden k=3: full journals, shared, memo counters"
+      (memo_golden_test 3
+         ~jobs:
+           [ ("j001", "9d61c6a58d39cee2783c680063a2fdf0", 0);
+             ("j002", "4a980e24ed7286b5cbb0c08c1df0a675", 16);
+             ("j003", "4a980e24ed7286b5cbb0c08c1df0a675", 16) ]
+         ~counts:[ (48, 32, 16) ]);
+    t "memo golden after restart: full journals, shared, memo counters"
+      memo_restart_golden_test;
   ]
 
 (* ------------------------------------------------------------------ *)
