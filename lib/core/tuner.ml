@@ -606,8 +606,10 @@ let note_record jc ~signature (m : Variant.measurement) =
    settle the cluster books, checkpoint periodically, and only then let a
    caller's checkpoint hook or a configured preemption kill the "job" —
    the record is already durable either way, so interrupting here is
-   always resumable with zero re-evaluation. *)
-let journal_sink ?checkpoint ?(shared_pending = fun () -> None) p jc (r : Variant.record) =
+   always resumable with zero re-evaluation. A memo-served record's donor
+   is written as a provenance line right after the record line, so a
+   crash between the two loses only the annotation. *)
+let journal_sink ?checkpoint p jc ~donor (r : Variant.record) =
   let entry = Persist.Journal.entry_of_record r in
   let entry =
     match p.scorer with
@@ -620,13 +622,12 @@ let journal_sink ?checkpoint ?(shared_pending = fun () -> None) p jc (r : Varian
     | None -> entry
   in
   Persist.Journal.append jc.jw entry;
-  (* provenance for a memo-served record, staged by the trace's on_shared
-     hook in the same locked critical section — written right after the
-     record line so a crash between the two loses only the annotation *)
-  (match shared_pending () with
-  | Some sh -> Persist.Journal.append_shared jc.jw sh
-  | None -> ());
   let signature = Transform.Assignment.signature r.Variant.asg in
+  Option.iter
+    (fun donor ->
+      Persist.Journal.append_shared jc.jw
+        { Persist.Journal.sh_index = r.Variant.index; sh_signature = signature; sh_donor = donor })
+    donor;
   (match jc.jfaults with
   | Some f when not (off_cluster r.Variant.meas) ->
     ignore
@@ -653,20 +654,6 @@ let faulted_evaluate p faults asg =
   apply_faults faults
     ~signature:(Transform.Assignment.signature asg)
     (evaluate p asg)
-
-(* Fleet-wide evaluation memo hooks (the service's cross-campaign memo
-   plugs in here; solo campaigns pass none). The memo stores {e pre-fault}
-   measurements — a pure function of (model source, config digest,
-   signature), identical whichever campaign in the space computes it —
-   and each consuming campaign applies its own fault perturbation (a pure
-   function of its fault spec and the signature), so a memo-served record
-   is bit-identical to the one the campaign would have evaluated itself.
-   [memo_find] returns the measurement plus the donor campaign's id for
-   the journal's provenance annotation. *)
-type memo_hooks = {
-  memo_find : signature:string -> (Variant.measurement * string) option;
-  memo_publish : signature:string -> Variant.measurement -> unit;
-}
 
 let execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~preloaded () =
   let fstate = Option.map Cluster.Faults.create faults in
@@ -696,66 +683,43 @@ let execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~p
             r.Variant.meas)
         preloaded)
     jctx;
-  (* Fleet memo wiring. [shared_lookup] runs outside the trace lock: it
-     asks the memo for a pre-fault measurement, stashes the donor id
-     keyed by signature, and applies this campaign's own fault
-     perturbation so the trace commits exactly what a live evaluation
-     would have. [on_shared] then fires under the trace lock, immediately
-     before the journal sink, staging the provenance annotation the sink
-     appends right after the record line. *)
-  let donor_lock = Mutex.create () in
-  let donors : (string, string) Hashtbl.t = Hashtbl.create 32 in
-  let pending : Persist.Journal.shared option ref = ref None in
-  let shared_lookup =
+  (* Fleet memo (the service's cross-campaign store; solo campaigns pass
+     none). The memo holds {e pre-fault} measurements — a pure function of
+     (model source, config digest, signature), identical whichever
+     campaign in the space computes it — and this campaign applies its
+     own fault perturbation (a pure function of its fault spec and the
+     signature) to a hit, so the trace commits exactly what a live
+     evaluation would have, tagged with the donor's id for the journal's
+     provenance line. *)
+  let memo =
+    Option.map (fun (store, job) -> (store, job, Memo.space_key ~model:p.model ~config:p.config)) memo
+  in
+  let lookup =
     Option.map
-      (fun h asg ->
+      (fun (store, job, space) asg ->
         let signature = Transform.Assignment.signature asg in
-        match h.memo_find ~signature with
-        | None -> None
-        | Some (m, donor) ->
-          Mutex.lock donor_lock;
-          Hashtbl.replace donors signature donor;
-          Mutex.unlock donor_lock;
-          Some (apply_faults faults ~signature m))
+        match Memo.find store ~space ~signature with
+        (* a job never cites itself as donor: its own fresh evaluations
+           are already in its trace cache, but a resumed job may probe
+           signatures it published in an earlier slice *)
+        | Some (m, donor) when donor <> job -> Some (apply_faults faults ~signature m, donor)
+        | Some _ | None -> None)
       memo
   in
-  let on_shared =
-    Option.map
-      (fun (_ : memo_hooks) (r : Variant.record) ->
-        let signature = Transform.Assignment.signature r.Variant.asg in
-        let donor =
-          Mutex.lock donor_lock;
-          let d = Hashtbl.find_opt donors signature in
-          Mutex.unlock donor_lock;
-          Option.value ~default:"" d
-        in
-        pending :=
-          Some
-            { Persist.Journal.sh_index = r.Variant.index; sh_signature = signature;
-              sh_donor = donor })
-      memo
-  in
-  let shared_pending () =
-    let sh = !pending in
-    pending := None;
-    sh
-  in
-  let sink = Option.map (fun jc -> journal_sink ?checkpoint ~shared_pending p jc) jctx in
-  let trace =
-    Trace.create ?max_variants:(max_variants_of p) ?shared_lookup ?on_shared ?sink ()
-  in
+  let sink = Option.map (fun jc -> journal_sink ?checkpoint p jc) jctx in
+  let trace = Trace.create ?max_variants:(max_variants_of p) ?lookup ?sink () in
   Trace.preload trace preloaded;
   let eval =
     match memo with
     | None -> faulted_evaluate p faults
-    | Some h ->
+    | Some (store, job, space) ->
       (* publish the pre-fault measurement of every fresh evaluation;
          preloaded (journal-replayed) records are not republished — their
          stored values are post-fault *)
       fun asg ->
         let signature = Transform.Assignment.signature asg in
         let m = evaluate p asg in
-        h.memo_publish ~signature m;
+        Memo.publish store ~space ~donor:job ~signature m;
         apply_faults faults ~signature m
   in
   (* simulated node-seconds of one evaluation, for the shard scheduler's

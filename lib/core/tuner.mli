@@ -157,26 +157,6 @@ exception Paused
     [interrupted = true]; {!resume} later continues it bit-identically
     (exactly like an injected preemption, but caller-controlled). *)
 
-type memo_hooks = {
-  memo_find : signature:string -> (Search.Variant.measurement * string) option;
-      (** pre-fault measurement for this signature, plus the donor
-          campaign id, if some fleet campaign already evaluated it *)
-  memo_publish : signature:string -> Search.Variant.measurement -> unit;
-      (** called once per fresh evaluation with its pre-fault measurement *)
-}
-(** Fleet-wide evaluation memo hooks ([?memo] on the runners; the
-    service's cross-campaign memo plugs in here, solo campaigns pass
-    none). The contract: the memo is keyed by evaluation space — same
-    model source and same {!Config.digest} — within which a pre-fault
-    measurement is a pure function of the signature, identical whichever
-    campaign computes it. A [memo_find] hit is committed as a normal
-    record (journaled, budgeted, charged full simulated cluster-hours)
-    with this campaign's own fault perturbation applied and a
-    provenance annotation line in the journal, but costs no live
-    evaluation — it shows up in {!Search.Trace.stats} as [shared]
-    instead of [misses]. Preloaded (journal-replayed) records are never
-    republished: their stored values are post-fault. *)
-
 val run_delta_debug :
   ?config:Config.t ->
   ?workers:int ->
@@ -185,7 +165,7 @@ val run_delta_debug :
   ?journal:string ->
   ?faults:Cluster.Faults.spec ->
   ?checkpoint:(progress -> unit) ->
-  ?memo:memo_hooks ->
+  ?memo:Memo.t * string ->
   Models.Registry.t ->
   campaign
 (** The paper's search (Sec. III-B) on the model's search space, bounded
@@ -234,14 +214,31 @@ val run_delta_debug :
     fires on journaled campaigns), once before any fresh work is
     scheduled, and — under [shards] — between speculative batches. The
     hook may raise {!Paused} to suspend the campaign gracefully at that
-    durable point. *)
+    durable point.
+
+    [memo] is the fleet-wide evaluation store plus the job id this
+    campaign publishes under (the service passes it; solo campaigns pass
+    none — a private store could never hit, since the trace cache answers
+    every repeat first). The store is keyed by evaluation space — same
+    model source and same {!Config.digest} — within which a pre-fault
+    measurement is a pure function of the signature, identical whichever
+    campaign computes it. Each own-cache miss asks {!Memo.find} first
+    (an answer citing this job itself counts as a miss); a hit is
+    committed through the same {!Search.Trace} path as a fresh
+    evaluation (journaled, budgeted, charged full simulated
+    cluster-hours) with this campaign's own fault perturbation applied
+    and a provenance line naming the donor in the journal, but costs no
+    live evaluation — it shows up in {!Search.Trace.stats} as [shared]
+    instead of [misses]. Every fresh evaluation's pre-fault measurement
+    is {!Memo.publish}ed; preloaded (journal-replayed) records never
+    are: their stored values are post-fault. *)
 
 val run_brute_force :
   ?config:Config.t ->
   ?journal:string ->
   ?faults:Cluster.Faults.spec ->
   ?checkpoint:(progress -> unit) ->
-  ?memo:memo_hooks ->
+  ?memo:Memo.t * string ->
   Models.Registry.t ->
   campaign
 (** Exhaustive 2ⁿ exploration — the funarc walkthrough of Sec. II-B.
@@ -263,7 +260,7 @@ val run_hierarchical :
   ?journal:string ->
   ?faults:Cluster.Faults.spec ->
   ?checkpoint:(progress -> unit) ->
-  ?memo:memo_hooks ->
+  ?memo:Memo.t * string ->
   Models.Registry.t ->
   campaign
 (** The community-structure search ({!Search.Hierarchical}) over the
@@ -281,7 +278,7 @@ val resume :
   ?pool:Search.Pool.t ->
   ?faults:Cluster.Faults.spec ->
   ?checkpoint:(progress -> unit) ->
-  ?memo:memo_hooks ->
+  ?memo:Memo.t * string ->
   ?model:Models.Registry.t ->
   journal:string ->
   unit ->

@@ -21,15 +21,14 @@
     counters that prove it (a journaled prefix contributes hits, never
     misses).
 
-    {b Cross-campaign sharing.} An optional [shared_lookup] is consulted
-    on every own-cache miss, before [f] runs: a hit commits as a normal
-    record (cache, record list, budget, sink — everything a fresh
-    evaluation would touch) but is counted under [shared] instead of
-    [misses], and fires [on_shared] under the lock just before the sink
-    so the journaling layer can annotate the record's provenance
-    atomically with its append. The service's fleet-wide evaluation memo
-    plugs in here; a solo campaign passes neither hook and behaves
-    exactly as before. *)
+    {b Cross-campaign sharing.} An optional [lookup] is consulted on every
+    own-cache miss, in place of [f]: a hit is a measurement plus the id
+    of the donor campaign that evaluated it, and it commits through the
+    same code as a fresh evaluation (cache, record list, budget, sink) —
+    counted under [shared] instead of [misses], with the donor handed to
+    the sink so the journaling layer can annotate the record's
+    provenance atomically with its append. The service's fleet-wide
+    evaluation memo plugs in here; a solo campaign passes no lookup. *)
 
 type t
 
@@ -37,7 +36,7 @@ type stats = {
   hits : int;  (** {!evaluate} calls served from the memo cache *)
   misses : int;  (** fresh evaluations committed as records *)
   shared : int;
-      (** records committed from [shared_lookup] answers — journaled and
+      (** records committed from [lookup] answers — journaled and
           budgeted like misses, but no live evaluation ran *)
   live : int;  (** distinct signatures currently cached *)
   appends : int;  (** sink invocations (journaled appends); 0 without a sink *)
@@ -45,20 +44,20 @@ type stats = {
 
 val create :
   ?max_variants:int ->
-  ?shared_lookup:(Transform.Assignment.t -> Variant.measurement option) ->
-  ?on_shared:(Variant.record -> unit) ->
-  ?sink:(Variant.record -> unit) ->
+  ?lookup:(Transform.Assignment.t -> (Variant.measurement * string) option) ->
+  ?sink:(donor:string option -> Variant.record -> unit) ->
   unit -> t
 (** [sink] is called synchronously under the trace lock as each record
-    commits (after the cache and record list are updated). An exception
-    raised by the sink propagates out of {!evaluate} with the commit
-    already in place — the simulated job-preemption path.
+    commits (after the cache and record list are updated), with
+    [~donor:(Some id)] for a record served by [lookup] and [~donor:None]
+    for one [f] evaluated. An exception raised by the sink propagates out
+    of {!evaluate} with the commit already in place — the simulated
+    job-preemption path.
 
-    [shared_lookup] runs {e outside} the trace lock (it may take its own)
-    and must be a pure function of the assignment for the campaign's
-    configuration — its answer is committed verbatim as this campaign's
-    measurement. [on_shared] fires only for shared commits, under the
-    lock, immediately before the sink. *)
+    [lookup] runs {e outside} the trace lock (it may take its own) and
+    must be a pure function of the assignment for the campaign's
+    configuration — its measurement is committed verbatim as this
+    campaign's, exactly as [f]'s would have been. *)
 
 exception Budget_exhausted
 (** Raised by {!evaluate} when [max_variants] distinct evaluations have
@@ -87,5 +86,3 @@ val records : t -> Variant.record list
 
 val count : t -> int
 val stats : t -> stats
-val clear : t -> unit
-(** Also resets the {!stats} counters. *)

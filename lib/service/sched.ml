@@ -200,11 +200,7 @@ let run_slice t (job0 : Job.t) =
       | Some a -> a
       | None -> failwith ("unknown algorithm " ^ spec.Job.sp_algo)
     in
-    (* one evaluation space per (model source, config digest): only jobs
-       whose measurements are interchangeable ever share *)
-    let memo =
-      Option.map (fun m -> Memo.hooks m ~space:(Memo.space_key ~model ~config) ~job:id) t.memo
-    in
+    let memo = Option.map (fun m -> (m, id)) t.memo in
     if Sys.file_exists (Persist.Journal.file ~dir) then
       Core.Tuner.resume ~config ~workers:spec.Job.sp_workers ?pool:t.pool ?faults ~checkpoint
         ?memo ~model ~journal:dir ()

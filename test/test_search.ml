@@ -414,6 +414,45 @@ let brute_force_tests =
           (1.0 +. dd_frac));
   ]
 
+(* A trace with an external lookup that serves exactly one signature
+   ([a], from donor "donor") and misses every other, recording every
+   lookup call, every [f] evaluation and every sink invocation. *)
+type lookup_fixture = {
+  trace : Trace.t;
+  f : Transform.Assignment.t -> Variant.measurement;
+  a : Transform.Assignment.t;
+  b : Transform.Assignment.t;
+  c : Transform.Assignment.t;
+  served : Variant.measurement;
+  lookups : int ref;
+  evaluated : string list ref;  (* signatures, reversed *)
+  sunk : (int * string * string option) list ref;  (* reversed *)
+}
+
+let lookup_fixture ?max_variants () =
+  let atoms = mk_atoms 3 in
+  let lower i =
+    Transform.Assignment.of_lowered atoms ~lowered:(List.filteri (fun j _ -> j = i) atoms)
+  in
+  let a = lower 0 and b = lower 1 and c = lower 2 in
+  let served = { (oracle ~critical:[] atoms a) with Variant.detail = "served" } in
+  let lookups = ref 0 and evaluated = ref [] and sunk = ref [] in
+  let lookup asg =
+    incr lookups;
+    if Transform.Assignment.signature asg = Transform.Assignment.signature a then
+      Some (served, "donor")
+    else None
+  in
+  let sink ~donor (r : Variant.record) =
+    sunk := (r.Variant.index, Transform.Assignment.signature r.Variant.asg, donor) :: !sunk
+  in
+  let f asg =
+    evaluated := Transform.Assignment.signature asg :: !evaluated;
+    oracle ~critical:[] atoms asg
+  in
+  { trace = Trace.create ?max_variants ~lookup ~sink (); f; a; b; c; served; lookups;
+    evaluated; sunk }
+
 let trace_tests =
   [
     t "identical assignments evaluated once" (fun () ->
@@ -486,6 +525,50 @@ let trace_tests =
           Alcotest.(check int) "first" 1 a.Variant.index;
           Alcotest.(check int) "second" 2 b.Variant.index
         | _ -> Alcotest.fail "expected two records");
+    t "lookup hit commits like a fresh evaluation, tagged with its donor" (fun () ->
+        let l = lookup_fixture () in
+        let sig_of = Transform.Assignment.signature in
+        List.iter (fun asg -> ignore (Trace.evaluate l.trace ~f:l.f asg)) [ l.b; l.a; l.c ];
+        Alcotest.(check (list (triple int string (option string))))
+          "sink sees every commit in order, donor only on the served one"
+          [ (1, sig_of l.b, None); (2, sig_of l.a, Some "donor"); (3, sig_of l.c, None) ]
+          (List.rev !(l.sunk));
+        Alcotest.(check (list string)) "f ran only for the lookup's misses"
+          [ sig_of l.b; sig_of l.c ] (List.rev !(l.evaluated));
+        (match Trace.records l.trace with
+        | [ _; r; _ ] ->
+          Alcotest.(check bool) "served measurement committed verbatim" true
+            (r.Variant.meas = l.served)
+        | _ -> Alcotest.fail "expected three records");
+        let s = Trace.stats l.trace in
+        Alcotest.(check (list int)) "hits/misses/shared/appends" [ 0; 2; 1; 3 ]
+          [ s.Trace.hits; s.Trace.misses; s.Trace.shared; s.Trace.appends ];
+        Alcotest.(check int) "the served record burns budget" 3 (Trace.count l.trace));
+    t "repeat of a lookup-served signature is a plain hit" (fun () ->
+        let l = lookup_fixture () in
+        let m0 = Trace.evaluate l.trace ~f:l.f l.a in
+        let looked = !(l.lookups) in
+        let m1 = Trace.evaluate l.trace ~f:l.f l.a in
+        Alcotest.(check bool) "same measurement" true (m0 = m1);
+        Alcotest.(check int) "lookup not asked again" looked !(l.lookups);
+        Alcotest.(check int) "f never ran" 0 (List.length !(l.evaluated));
+        Alcotest.(check int) "no second commit" 1 (List.length !(l.sunk));
+        let s = Trace.stats l.trace in
+        Alcotest.(check (list int)) "hits/misses/shared" [ 1; 0; 1 ]
+          [ s.Trace.hits; s.Trace.misses; s.Trace.shared ]);
+    t "lookup never runs once the budget is exhausted" (fun () ->
+        let l = lookup_fixture ~max_variants:1 () in
+        ignore (Trace.evaluate l.trace ~f:l.f l.a);
+        Alcotest.(check int) "one lookup for the served record" 1 !(l.lookups);
+        List.iter
+          (fun asg ->
+            match Trace.evaluate l.trace ~f:l.f asg with
+            | _ -> Alcotest.fail "expected Budget_exhausted"
+            | exception Trace.Budget_exhausted -> ())
+          [ l.b; l.c; l.b ];
+        ignore (Trace.evaluate l.trace ~f:l.f l.a);
+        Alcotest.(check int) "no lookup after exhaustion" 1 !(l.lookups);
+        Alcotest.(check int) "f never ran" 0 (List.length !(l.evaluated)));
   ]
 
 let variant_tests =
