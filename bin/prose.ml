@@ -590,20 +590,9 @@ let serve_cmd =
       & info [ "slice" ] ~docv:"K"
           ~doc:"Fresh durable records per scheduler time slice (>= 1).")
   in
-  let no_memo_arg =
-    Arg.(
-      value & flag
-      & info [ "no-shared-memo" ]
-          ~doc:
-            "Disable the fleet-wide cross-campaign evaluation memo. With the memo on (the \
-             default), concurrent jobs in the same evaluation space evaluate each variant \
-             once fleet-wide; memo-served records are journaled normally plus a provenance \
-             line. Job results never depend on this flag.")
-  in
-  let run root slots slice no_memo =
+  let run root slots slice =
     match
-      Service.Server.run ~slice_records:slice ~shared_memo:(not no_memo)
-        ~log:(fun m -> pf "%s\n%!" m) ~root ~slots ()
+      Service.Server.run ~slice_records:slice ~log:(fun m -> pf "%s\n%!" m) ~root ~slots ()
     with
     | Ok () -> ()
     | Error msg ->
@@ -611,7 +600,7 @@ let serve_cmd =
       exit 1
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
-    Term.(const run $ root_arg $ slots_arg $ slice_arg $ no_memo_arg)
+    Term.(const run $ root_arg $ slots_arg $ slice_arg)
 
 let submit_cmd =
   let doc = "Submit a tuning campaign to the service queue" in

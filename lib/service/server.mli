@@ -14,7 +14,6 @@
 
 val run :
   ?slice_records:int ->
-  ?shared_memo:bool ->
   ?find_model:(string -> Models.Registry.t) ->
   ?log:(string -> unit) ->
   root:string ->
@@ -25,10 +24,10 @@ val run :
     [slots] sizes the shared evaluation pool lent to every job slice
     ([0] = strictly sequential evaluation); job results never depend on
     it. [slice_records] (default 8) is the per-slice fresh-record
-    budget. [shared_memo] (default [true]) enables the process-wide
-    cross-campaign evaluation memo ({!Memo}): concurrent jobs in the
-    same evaluation space evaluate each variant once fleet-wide, with
-    memo-served records journaled normally plus a provenance line; job
-    results never depend on it. A stale socket (no listener behind it)
+    budget. The server always keeps one process-wide cross-campaign
+    evaluation memo ({!Memo}): concurrent jobs in the same evaluation
+    space evaluate each variant once fleet-wide, with memo-served records
+    journaled normally plus a provenance line; job results never depend
+    on it. A stale socket (no listener behind it)
     is replaced; [Error _] is returned when another server is actually
     listening. *)
