@@ -232,4 +232,14 @@ diff -u "$VDIR/solo3_cmp.json" "$VDIR/j004_cmp.json"
 # and the server log accounted at least one memo-served slice
 grep 'fleet dedup:' "$VDIR/j004_show.txt" > /dev/null
 grep -E ', [1-9][0-9]* memo-shared\)' "$VDIR/serve.log" > /dev/null
+# the provenance lines themselves: `campaign show` counts exactly the N
+# records `jobs show` attributes to the memo ("fleet dedup: N of M"), and
+# every provenance line in the follower's journal names the leader j003
+SHARED=$(sed -n 's/.*fleet dedup: \([0-9][0-9]*\) of .*/\1/p' "$VDIR/j004_show.txt")
+_build/default/bin/prose.exe campaign show "$VDIR/jobs/j004/campaign" \
+  | tee "$VDIR/j004_campaign.txt"
+grep -x "shared  : $SHARED record(s) attributed to the fleet memo" \
+  "$VDIR/j004_campaign.txt" > /dev/null
+test -z "$(grep '"kind":"shared"' "$VDIR/jobs/j004/campaign/journal.jsonl" \
+  | grep -v '"donor":"j003"')"
 rm -rf "$VDIR"
