@@ -28,6 +28,5 @@ val run :
     evaluation memo ({!Memo}): concurrent jobs in the same evaluation
     space evaluate each variant once fleet-wide, with memo-served records
     journaled normally plus a provenance line; job results never depend
-    on it. A stale socket (no listener behind it)
-    is replaced; [Error _] is returned when another server is actually
-    listening. *)
+    on it. A stale socket (no listener behind it) is replaced; [Error _]
+    is returned when another server is actually listening. *)
