@@ -157,6 +157,54 @@ let golden_tests =
     goldens
 
 (* ------------------------------------------------------------------ *)
+(* Output goldens: every byte an off or rank campaign writes           *)
+
+(* md5 of the journal file, summary JSON and variants CSV of a journaled
+   campaign, recorded while [Predict_prune] still existed; deleting it
+   must not change one byte of an off or rank campaign's outputs *)
+let output_digests run =
+  Harness.with_dir (fun dir ->
+      let c = run dir in
+      let md5 s = Digest.to_hex (Digest.string s) in
+      ( md5 (Harness.slurp (Persist.Journal.file ~dir)),
+        md5 (Core.Export.summary_json c),
+        md5 (Core.Export.variants_csv c) ))
+
+let check_outputs want got =
+  Alcotest.(check (triple string string string)) "journal, summary, csv md5" want got
+
+let output_golden_tests =
+  [
+    t "delta debug at predict off writes the recorded bytes" (fun () ->
+        check_outputs
+          ("9d61c6a58d39cee2783c680063a2fdf0",
+           "f15af929694e5a65293cec48061c8624",
+           "24cc6e0b36602dd43e1ad5cf85523a31")
+          (output_digests (fun dir ->
+               Core.Tuner.run_delta_debug ~workers:0 ~journal:dir small_funarc)));
+    t "delta debug at predict rank writes the recorded bytes" (fun () ->
+        let config = with_predict Core.Config.Predict_rank Core.Config.default in
+        check_outputs
+          ("c03251a18a965c77af9074f3b61605f5",
+           "00322de9bfc51316f49f7b6a1a36c453",
+           "bbe2e4d204dd4f49607f1b4846c84f4c")
+          (output_digests (fun dir ->
+               Core.Tuner.run_delta_debug ~config ~workers:0 ~journal:dir small_funarc)));
+    t "brute force at predict rank writes the recorded bytes" (fun () ->
+        let config = with_predict Core.Config.Predict_rank Core.Config.default in
+        check_outputs
+          ("cc3f14869b7c443f70f9d0dc27b74966",
+           "f485bb1800ac6a1198ad69f4d038ddbf",
+           "ebac60da4b7dac7b16300d240555b1a6")
+          (output_digests (fun dir ->
+               Core.Tuner.run_brute_force ~config ~journal:dir small_funarc)));
+    t "the rank config digest is the recorded one" (fun () ->
+        Alcotest.(check string) "digest" "036ebc66c3af89fca17a177cde1826a1"
+          (Core.Config.digest
+             { Core.Config.default with Core.Config.predict = Core.Config.Predict_rank }));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Error-vector kernels against a [float IMap.t] reference model        *)
 
 (* The reference is the map algebra the flat kernels replace: unions by
@@ -492,6 +540,39 @@ let campaign_tests =
               (signatures full = signatures resumed);
             Alcotest.(check bool) "same minimal" true
               (minimal_sig full = minimal_sig resumed)));
+    t "an old prune journal loads but refuses to resume" (fun () ->
+        (* recorded by [prose tune funarc --workers 0 --predict prune
+           --predict-margin 100000] before the prune mode was removed: 33
+           records, 7 of them [static: bound] losses that never ran *)
+        Harness.with_dir (fun dir ->
+            Unix.mkdir dir 0o755;
+            List.iter
+              (fun f ->
+                let oc = open_out_bin (Filename.concat dir f) in
+                output_string oc (Harness.slurp (Filename.concat "corpus/prune_journal" f));
+                close_out oc)
+              [ "journal.jsonl"; "snapshot.json" ];
+            let loaded = Persist.Journal.load ~dir in
+            let entries = loaded.Persist.Journal.l_entries in
+            Alcotest.(check int) "every record read" 33 (List.length entries);
+            Alcotest.(check bool) "not torn" false loaded.Persist.Journal.l_torn;
+            Alcotest.(check int) "static-bound losses read" 7
+              (List.length
+                 (List.filter
+                    (fun (e : Persist.Journal.entry) ->
+                      String.starts_with ~prefix:"static: bound"
+                        e.Persist.Journal.e_meas.Search.Variant.detail)
+                    entries));
+            List.iter
+              (fun predict ->
+                match
+                  Core.Tuner.resume
+                    ~config:{ Core.Config.default with Core.Config.predict }
+                    ~workers:0 ~journal:dir ()
+                with
+                | _ -> Alcotest.fail "an old prune journal resumed"
+                | exception Core.Tuner.Resume_mismatch _ -> ())
+              [ Core.Config.Predict_off; Core.Config.Predict_rank ]));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -655,6 +736,7 @@ let () =
     [
       ("scorer", scorer_tests);
       ("golden", golden_tests);
+      ("output golden", output_golden_tests);
       ("errvec", errvec_tests);
       ("rank engine", rank_engine_tests);
       ("campaigns", campaign_tests);
