@@ -92,34 +92,38 @@ sed 's/"evaluations": [0-9]*/"evaluations": _/' "$PDIR/rank_min.json" \
   > "$PDIR/rank_cmp.json"
 diff -u "$PDIR/off_cmp.json" "$PDIR/rank_cmp.json"
 
-# Predictive-search gate, part 2: SIGKILL a journaled prune campaign
-# mid-search (margin tuned so ~15% of the space is statically skipped and
-# the rest runs for real), resume it, and require the summary to match an
-# uninterrupted run modulo the "trace" line -- pruning decisions are pure
-# functions of (config digest, variant signature), so the torn journal
-# must replay them bit-identically. A second resume of the now-complete
-# journal must preload every record and evaluate nothing.
+# Predictive-search gate, part 2: SIGKILL a journaled rank campaign
+# mid-search, resume it, and require the summary to match an
+# uninterrupted run modulo the "trace" line -- each record's score and
+# static bound are pure functions of (config digest, variant signature),
+# so the torn journal must replay them bit-identically. A second resume
+# of the now-complete journal must preload every record, evaluate
+# nothing, and leave every record carrying its static bound.
 _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
-  --predict prune --predict-margin 100000 \
+  --predict rank \
   --json "$PDIR/pbase.json" > /dev/null
 _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
-  --predict prune --predict-margin 100000 \
+  --predict rank \
   --journal "$PDIR/pcamp" > /dev/null &
 PKILL_PID=$!
 wait_for "40 journal lines in $PDIR/pcamp" has_lines "$PDIR/pcamp/journal.jsonl" 40
 kill -9 "$PKILL_PID" 2> /dev/null || true
 wait "$PKILL_PID" 2> /dev/null || true
 _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
-  --predict prune --predict-margin 100000 \
+  --predict rank \
   --journal "$PDIR/pcamp" --resume --json "$PDIR/presumed.json" > /dev/null
 grep -v -e '"trace"' "$PDIR/pbase.json" > "$PDIR/pbase_cmp.json"
 grep -v -e '"trace"' "$PDIR/presumed.json" > "$PDIR/presumed_cmp.json"
 diff -u "$PDIR/pbase_cmp.json" "$PDIR/presumed_cmp.json"
 _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
-  --predict prune --predict-margin 100000 \
+  --predict rank \
   --journal "$PDIR/pcamp" --resume --json "$PDIR/preplay.json" > /dev/null
 grep '"misses": 0,' "$PDIR/preplay.json" > /dev/null
 grep '"preloaded": 256' "$PDIR/preplay.json" > /dev/null
+test "$(grep -c '"bound":' "$PDIR/pcamp/journal.jsonl")" -eq 256
+# a journal written by the removed prune mode still reads in full
+_build/default/bin/prose.exe campaign show test/corpus/prune_journal \
+  | grep '^records : 33 ' > /dev/null
 rm -rf "$PDIR"
 
 # Crash-safety smoke gate: SIGKILL a journaled campaign mid-search, resume

@@ -5,7 +5,6 @@ type mode =
 type predict =
   | Predict_off
   | Predict_rank
-  | Predict_prune
 
 type t = {
   machine : Runtime.Machine.t;
@@ -53,12 +52,13 @@ let digest t =
         (match t.max_variants with None -> "-" | Some n -> string_of_int n);
       ]
   in
-  (* predict fields are appended only when active, so every digest minted
-     before they existed — and every off-mode campaign — is unchanged *)
+  (* the predict suffix is appended only when active, so every digest
+     minted before it existed — and every off-mode campaign — is unchanged.
+     The margin bytes are those of the former default (1e6), which every
+     rank journal's header digest was minted with *)
   let canonical =
     match t.predict with
     | Predict_off -> canonical
-    | Predict_rank -> canonical ^ Printf.sprintf "|predict:rank|margin:%h" t.predict_margin
-    | Predict_prune -> canonical ^ Printf.sprintf "|predict:prune|margin:%h" t.predict_margin
+    | Predict_rank -> canonical ^ "|predict:rank|margin:0x1.e848p+19"
   in
   Digest.to_hex (Digest.string canonical)

@@ -20,12 +20,9 @@ type predict =
           within the variant budget: a budget-cut search reports its
           best-so-far, which can differ (mom6 cut at 150 variants under
           noise seed 1 ends on different variants, see
-          perfbench/README.md) *)
-  | Predict_prune
-      (** [Predict_rank] plus: skip dynamic evaluation of variants whose
-          finite static error bound already exceeds
-          [predict_margin × threshold], journaling them as [static:] loss
-          records *)
+          perfbench/README.md). The static analysis only reorders
+          rounds: every variant the search proposes is still evaluated
+          dynamically *)
 
 type t = {
   machine : Runtime.Machine.t;
@@ -43,14 +40,9 @@ type t = {
   max_variants : int option;  (** overrides the model's default budget *)
   predict : predict;  (** sensitivity-guided search steering (off by default) *)
   predict_margin : float;
-      (** soundness slack for [Predict_prune]: only variants whose static
-          bound exceeds margin × threshold are skipped. The default (1e6)
-          is deliberately enormous: the worst-case rounding model
-          accumulates linearly where real errors random-walk, so sound
-          bounds overshoot observed error by ~sqrt(ops) — measured up to
-          ~1.2e5× threshold on passing funarc variants — and pruning must
-          never skip a variant that would pass. Lower it explicitly to
-          trade safety for pruning. *)
+      (** ignored: no result depends on it, and {!digest} does not read
+          it. Kept only because perfbench/main.ml passes it to
+          {!Sensitivity.Score.create}. *)
   verify_roundtrip : bool;
       (** run every variant through both the direct-AST fast path and the
           unparse→reparse slow path and fail loudly if any outcome bit
@@ -69,5 +61,7 @@ val digest : t -> string
     digest disagrees with the offered configuration. [verify_roundtrip]
     is excluded: it changes how variants are evaluated, never what the
     results are.
-    [predict]/[predict_margin] are appended only when predict is not
-    [Predict_off], so pre-PR-9 journals keep their digests. *)
+    [predict] is appended only when it is not [Predict_off], so journals
+    written before predictive search existed keep their digests; the rank
+    suffix still carries the bytes of the former margin default, so every
+    rank journal keeps its digest too. *)

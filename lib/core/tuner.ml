@@ -49,7 +49,7 @@ type prepared = {
   budget : float;
   baseline_static : Analysis.Static_cost.verdict;
   scorer : Sensitivity.Score.t option;
-      (* the error-amplification scorer steering rank/prune; None when
+      (* the error-amplification scorer steering rank; None when
          predict is off or the mirror analysis declined to vouch for
          itself (fell back to the unpredicted search) *)
   cache : Runtime.Lower.Cache.t;  (* per-procedure lowering cache *)
@@ -307,7 +307,7 @@ let prepare ?(config = Config.default) (model : Models.Registry.t) : prepared =
   let scorer =
     match config.Config.predict with
     | Config.Predict_off -> None
-    | Config.Predict_rank | Config.Predict_prune ->
+    | Config.Predict_rank ->
       Sensitivity.Score.create ~st ~atoms ~metric_key:model.metric_key ~baseline_metric
         ~threshold ~margin:config.Config.predict_margin
   in
@@ -336,25 +336,7 @@ let evaluate p asg : Variant.measurement =
       casting_share = 0.0;
       detail = "static-filter";
     }
-  else
-    match p.scorer with
-    | Some sc
-      when p.config.Config.predict = Config.Predict_prune && Sensitivity.Score.prune sc asg ->
-      (* provably hopeless: the finite static error bound already exceeds
-         margin × threshold. A pure function of (config, signature), so
-         every worker/shard/resume agrees; journaled as a loss record that
-         never reached the cluster. *)
-      {
-        Variant.status = Variant.Fail;
-        speedup = 0.0;
-        rel_error = infinity;
-        hotspot_time = 0.0;
-        model_time = 0.0;
-        proc_stats = [];
-        casting_share = 0.0;
-        detail = Printf.sprintf "static: bound %.6g" (Sensitivity.Score.static_bound sc asg);
-      }
-    | Some _ | None -> measurement_of_raw p asg (transform_and_run p asg)
+  else measurement_of_raw p asg (transform_and_run p asg)
 
 let uniform32_measurement p =
   measurement_of_raw p
@@ -408,10 +390,11 @@ type campaign = {
   fault_stats : Cluster.Faults.stats option;
 }
 
-(* Static-filter and static-prune rejections never reach the cluster, so
-   no fault can touch them and they cost no simulated node time; every
-   fault-accounting site must agree with [faulted_evaluate]. Both detail
-   strings start with "static". *)
+(* Static-filter rejections never reach the cluster, so no fault can
+   touch them and they cost no simulated node time; every fault-accounting
+   site must agree with [faulted_evaluate]. The prefix test also covers
+   the "static: bound" losses of journals written by the removed prune
+   mode. *)
 let off_cluster (m : Variant.measurement) =
   let d = m.Variant.detail in
   String.length d >= 6 && String.sub d 0 6 = "static"
@@ -768,14 +751,13 @@ let execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~p
           Fun.protect ~finally:(fun () -> note_sched sh) (fun () -> f None (Some sh)))
   in
   let dd_config = { Delta_debug.error_threshold = p.threshold; perf_floor = p.perf_floor } in
-  (* rank (and prune, which implies rank) demotes predicted-fail ddmin
-     candidates with the Sensitivity.Rank evidence engine. Evidence is
+  (* rank demotes predicted-fail ddmin candidates with the Sensitivity.Rank evidence engine. Evidence is
      fed from committed records in consumption order — identical at every
      worker/shard/slice count and under resume — so the steered
      trajectory is deterministic (DESIGN.md §13) *)
   let ranker =
     match p.scorer with
-    | Some sc when p.config.Config.predict <> Config.Predict_off ->
+    | Some sc ->
       let safe =
         List.filter
           (fun a ->
@@ -806,7 +788,7 @@ let execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~p
           round = (fun () -> Sensitivity.Rank.round rk);
           demote = (fun asg -> Sensitivity.Rank.demote rk asg);
         }
-    | Some _ | None -> None
+    | None -> None
   in
   let interrupted = ref false in
   let minimal =

@@ -34,7 +34,7 @@ type prepared = {
   baseline_static : Analysis.Static_cost.verdict;
   scorer : Sensitivity.Score.t option;
       (** the error-amplification scorer steering {!Config.predict}
-          rank/prune; [None] when predict is off, or when the mirror
+          rank; [None] when predict is off, or when the mirror
           analysis declined to vouch for itself
           ({!Sensitivity.Score.create} returned [None]) and the campaign
           fell back to the unpredicted search *)

@@ -1,7 +1,7 @@
 (* Predictive-search tests: the error-amplification scorer, the
-   evidence-driven rank engine, prune soundness, scheduler/resume
-   determinism of the steered trajectories, the holdout split's
-   scheduling invariance, and the CSV/journal prediction columns. *)
+   evidence-driven rank engine, scheduler/resume determinism of the
+   steered trajectories, the holdout split's scheduling invariance, and
+   the CSV/journal prediction columns. *)
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -12,8 +12,7 @@ let small_mpas =
   { Models.Registry.mpas with
     Models.Registry.source = Models.Mpas.source ~p:Models.Mpas.small () }
 
-let with_predict ?(margin = Core.Config.default.Core.Config.predict_margin) mode config =
-  { config with Core.Config.predict = mode; predict_margin = margin }
+let with_predict mode config = { config with Core.Config.predict = mode }
 
 let signatures (c : Core.Tuner.campaign) =
   List.map
@@ -53,25 +52,6 @@ let scorer_tests =
     t "scorer is off when predict is off" (fun () ->
         let p = Core.Tuner.prepare small_funarc in
         Alcotest.(check bool) "no scorer" true (p.Core.Tuner.scorer = None));
-    t "prune never skips a passing variant (exhaustive funarc space)" (fun () ->
-        (* the bench asserts this on the registered model; the tier-1 suite
-           keeps a scaled-down copy so the guarantee cannot rot unnoticed *)
-        let config = with_predict Core.Config.Predict_prune Core.Config.default in
-        let p = Core.Tuner.prepare ~config small_funarc in
-        let sc =
-          match p.Core.Tuner.scorer with
-          | Some sc -> sc
-          | None -> Alcotest.fail "no scorer"
-        in
-        let brute = Core.Tuner.run_brute_force small_funarc in
-        let wrongly_pruned =
-          List.filter
-            (fun (r : Search.Variant.record) ->
-              r.Search.Variant.meas.Search.Variant.status = Search.Variant.Pass
-              && Sensitivity.Score.prune sc r.Search.Variant.asg)
-            brute.Core.Tuner.records
-        in
-        Alcotest.(check int) "no passing variant pruned" 0 (List.length wrongly_pruned));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -160,8 +140,8 @@ let golden_tests =
 (* Output goldens: every byte an off or rank campaign writes           *)
 
 (* md5 of the journal file, summary JSON and variants CSV of a journaled
-   campaign, recorded while [Predict_prune] still existed; deleting it
-   must not change one byte of an off or rank campaign's outputs *)
+   campaign, recorded while the prune mode still existed; removing that
+   mode must not change one byte of an off or rank campaign's outputs *)
 let output_digests run =
   Harness.with_dir (fun dir ->
       let c = run dir in
@@ -494,31 +474,8 @@ let campaign_tests =
           (signatures seq = signatures sharded);
         Alcotest.(check bool) "same minimal" true
           (minimal_sig seq = minimal_sig pooled && minimal_sig seq = minimal_sig sharded));
-    t "prune trajectory is identical across workers and shards" (fun () ->
-        (* a margin low enough that pruning actually fires on this space *)
-        let config =
-          with_predict ~margin:1.0 Core.Config.Predict_prune Core.Config.default
-        in
-        let pruned_count c =
-          List.length
-            (List.filter
-               (fun (r : Search.Variant.record) ->
-                 let d = r.Search.Variant.meas.Search.Variant.detail in
-                 String.length d >= 8 && String.sub d 0 8 = "static: ")
-               c.Core.Tuner.records)
-        in
-        let seq = Core.Tuner.run_delta_debug ~config ~workers:0 small_funarc in
-        let pooled = Core.Tuner.run_delta_debug ~config ~workers:4 small_funarc in
-        let sharded = Core.Tuner.run_delta_debug ~config ~shards:2 ~workers:2 small_funarc in
-        Alcotest.(check bool) "workers=4 record-identical" true
-          (signatures seq = signatures pooled);
-        Alcotest.(check bool) "shards=2 record-identical" true
-          (signatures seq = signatures sharded);
-        Alcotest.(check int) "same pruned count" (pruned_count seq) (pruned_count pooled));
-    t "a resumed prune campaign replays without re-evaluating" (fun () ->
-        let config =
-          with_predict ~margin:1.0 Core.Config.Predict_prune Core.Config.default
-        in
+    t "a resumed rank campaign replays without re-evaluating" (fun () ->
+        let config = with_predict Core.Config.Predict_rank Core.Config.default in
         let dir = Filename.temp_file "sens_resume" "" in
         Sys.remove dir;
         Unix.mkdir dir 0o755;
@@ -541,9 +498,9 @@ let campaign_tests =
             Alcotest.(check bool) "same minimal" true
               (minimal_sig full = minimal_sig resumed)));
     t "an old prune journal loads but refuses to resume" (fun () ->
-        (* recorded by [prose tune funarc --workers 0 --predict prune
-           --predict-margin 100000] before the prune mode was removed: 33
-           records, 7 of them [static: bound] losses that never ran *)
+        (* recorded by [prose tune funarc --workers 0] in the removed prune
+           mode at a margin of 1e5: 33 records, 7 of them [static: bound]
+           losses that never ran *)
         Harness.with_dir (fun dir ->
             Unix.mkdir dir 0o755;
             List.iter
