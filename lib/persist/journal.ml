@@ -104,7 +104,10 @@ let need what = function Some v -> v | None -> corrupt "missing or ill-typed %s"
 
 let get_str j k = need k Option.(bind (Json.member k j) Json.to_str)
 let get_int j k = need k Option.(bind (Json.member k j) Json.to_int)
-let get_hex j k = Json.of_hex_float (get_str j k)
+let get_hex j k = need k (Json.of_hex_float (get_str j k))
+
+(* absent is [None]; present but garbled is damage like any other field *)
+let get_hex_opt j k = Option.map (fun _ -> get_hex j k) (Json.member k j)
 
 let header_of_json j =
   {
@@ -141,7 +144,7 @@ let entry_of_json j =
         match Json.to_list row with
         | Some [ name; inclusive; calls ] ->
           ( need "proc name" (Json.to_str name),
-            Json.of_hex_float (need "proc inclusive" (Json.to_str inclusive)),
+            need "proc inclusive" (Option.bind (Json.to_str inclusive) Json.of_hex_float),
             need "proc calls" (Json.to_int calls) )
         | Some _ | None -> corrupt "bad proc_stats row")
       (need "proc_stats" Option.(bind (Json.member "proc_stats" j) Json.to_list))
@@ -161,8 +164,8 @@ let entry_of_json j =
         detail = get_str j "detail";
       };
     (* absent on pre-PR-9 journals and unpredicted runs: parse as None *)
-    e_score = Option.map Json.of_hex_float Option.(bind (Json.member "score" j) Json.to_str);
-    e_bound = Option.map Json.of_hex_float Option.(bind (Json.member "bound" j) Json.to_str);
+    e_score = get_hex_opt j "score";
+    e_bound = get_hex_opt j "bound";
   }
 
 (* ------------------------------------------------------------------ *)

@@ -241,7 +241,4 @@ let to_list = function Arr vs -> Some vs | _ -> None
 
 let hex_float v = Printf.sprintf "%h" v
 
-let of_hex_float s =
-  match float_of_string_opt s with
-  | Some v -> v
-  | None -> fail (Printf.sprintf "bad float %S" s)
+let of_hex_float = float_of_string_opt

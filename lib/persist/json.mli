@@ -46,6 +46,7 @@ val hex_float : float -> string
     ["infinity"]/["-infinity"]/["nan"] otherwise. Journals store every
     measurement float this way so replayed records are bit-identical. *)
 
-val of_hex_float : string -> float
-(** Inverse of {!hex_float} (plain [float_of_string]); raises
-    {!Parse_error} on garbage. *)
+val of_hex_float : string -> float option
+(** Inverse of {!hex_float} (plain [float_of_string_opt]); [None] on
+    garbage. Each decoder maps [None] to its own typed error, so a bad
+    float in already-parsed JSON never escapes as {!Parse_error}. *)

@@ -21,22 +21,16 @@ let to_json s =
     ]
 
 let of_json j =
-  let open Option in
-  bind (bind (Json.member "records" j) Json.to_int) (fun s_records ->
-      bind (bind (Json.member "hours" j) Json.to_str) (fun hours ->
-          bind (bind (Json.member "best_speedup" j) Json.to_str) (fun best ->
-              bind (bind (Json.member "lost_seconds" j) Json.to_str) (fun lost ->
-                  bind (bind (Json.member "preemptions" j) Json.to_int) (fun s_preemptions ->
-                      bind (bind (Json.member "finished" j) Json.to_bool) (fun s_finished ->
-                          some
-                            {
-                              s_records;
-                              s_hours = Json.of_hex_float hours;
-                              s_best_speedup = Json.of_hex_float best;
-                              s_lost_seconds = Json.of_hex_float lost;
-                              s_preemptions;
-                              s_finished;
-                            }))))))
+  let ( let* ) = Option.bind in
+  let get k f = Option.bind (Json.member k j) f in
+  let hex k = get k (fun v -> Option.bind (Json.to_str v) Json.of_hex_float) in
+  let* s_records = get "records" Json.to_int in
+  let* s_hours = hex "hours" in
+  let* s_best_speedup = hex "best_speedup" in
+  let* s_lost_seconds = hex "lost_seconds" in
+  let* s_preemptions = get "preemptions" Json.to_int in
+  let* s_finished = get "finished" Json.to_bool in
+  Some { s_records; s_hours; s_best_speedup; s_lost_seconds; s_preemptions; s_finished }
 
 let rec mkdir_p dir =
   if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin

@@ -130,7 +130,8 @@ let need k = function Some v -> v | None -> raise (Bad ("ill-typed " ^ k))
 let get_str j k = need k (Json.to_str (get j k))
 let get_int j k = need k (Json.to_int (get j k))
 let get_bool j k = need k (Json.to_bool (get j k))
-let get_hex j k = Json.of_hex_float (get_str j k)
+let hex_of k v = need k (Option.bind (Json.to_str v) Json.of_hex_float)
+let get_hex j k = hex_of k (get j k)
 let get_opt j k f = match Json.member k j with None | Some Json.Null -> None | Some v -> Some (f k v)
 
 let faults_of_json j =
@@ -139,8 +140,7 @@ let faults_of_json j =
     transient_prob = get_hex j "transient";
     node_failure_prob = get_hex j "node";
     max_retries = get_int j "retries";
-    preempt_at_hours =
-      get_opt j "preempt" (fun k v -> Json.of_hex_float (need k (Json.to_str v)));
+    preempt_at_hours = get_opt j "preempt" hex_of;
   }
 
 let spec_of_json j =
@@ -151,7 +151,7 @@ let spec_of_json j =
     sp_workers = get_int j "workers";
     sp_max_variants = get_opt j "max_variants" (fun k v -> need k (Json.to_int v));
     sp_whole_model = get_bool j "whole_model";
-    sp_quota_hours = get_opt j "quota_hours" (fun k v -> Json.of_hex_float (need k (Json.to_str v)));
+    sp_quota_hours = get_opt j "quota_hours" hex_of;
     sp_faults = get_opt j "faults" (fun _ v -> faults_of_json v);
     sp_tenant = get_str j "tenant";
     (* absent on pre-PR-10 state files: plain round-robin weight *)

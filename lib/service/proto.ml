@@ -72,8 +72,10 @@ let event_json (e : Sched.event) =
 
 let event_of_json j =
   let str k = Option.bind (Json.member k j) Json.to_str in
-  match (str "job", str "state") with
-  | Some job, Some state_s ->
+  (* an absent float reads as 0; a garbled one rejects the event *)
+  let hex k = match str k with Some h -> Json.of_hex_float h | None -> Some 0.0 in
+  match (str "job", str "state", hex "hours", hex "best") with
+  | Some job, Some state_s, Some ev_hours, Some ev_best ->
     let state =
       match state_s with
       | "queued" -> Some Job.Queued
@@ -90,8 +92,8 @@ let event_of_json j =
           ev_state = state;
           ev_records =
             Option.value ~default:0 (Option.bind (Json.member "records" j) Json.to_int);
-          ev_hours = (match str "hours" with Some h -> Json.of_hex_float h | None -> 0.0);
-          ev_best = (match str "best" with Some b -> Json.of_hex_float b | None -> 0.0);
+          ev_hours;
+          ev_best;
           (* absent on events from pre-PR-10 servers *)
           ev_shared =
             Option.value ~default:0 (Option.bind (Json.member "shared" j) Json.to_int);

@@ -55,7 +55,7 @@ let json_tests =
     t "hex floats are bit-exact" (fun () ->
         List.iter
           (fun x ->
-            let back = Persist.Json.of_hex_float (Persist.Json.hex_float x) in
+            let back = Option.get (Persist.Json.of_hex_float (Persist.Json.hex_float x)) in
             Alcotest.(check int64)
               (Printf.sprintf "bits of %h" x)
               (Int64.bits_of_float x) (Int64.bits_of_float back))
@@ -64,7 +64,9 @@ let json_tests =
            [float_of_string "nan"] yields the canonical quiet nan) *)
         Alcotest.(check bool)
           "nan stays nan" true
-          (Float.is_nan (Persist.Json.of_hex_float (Persist.Json.hex_float nan))));
+          (Float.is_nan (Option.get (Persist.Json.of_hex_float (Persist.Json.hex_float nan))));
+        Alcotest.(check (option (float 0.0))) "garbage is None" None
+          (Persist.Json.of_hex_float "0xZZ"));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -198,6 +200,34 @@ let journal_tests =
             close_out oc;
             match Persist.Journal.load ~dir with
             | _ -> Alcotest.fail "loaded a corrupt journal"
+            | exception Persist.Journal.Corrupt _ -> ()));
+    t "a garbled float mid-file is Corrupt, not a parse error" (fun () ->
+        with_dir (fun dir ->
+            let w = Persist.Journal.create ~dir header in
+            Persist.Journal.append w (entry 1 "4488" weird_meas);
+            Persist.Journal.append w (entry 2 "8888" weird_meas);
+            Persist.Journal.close w;
+            let path = Persist.Journal.file ~dir in
+            let lines = String.split_on_char '\n' (Harness.slurp path) in
+            (* the first record's speedup (-0.0) becomes the string "0xZZ":
+               still valid JSON, so only the float decoder can object *)
+            let garble l =
+              let field = {|"speedup":"-0x0p+0"|} in
+              let n = String.length field in
+              let rec at i =
+                if String.sub l i n = field then
+                  String.sub l 0 i ^ {|"speedup":"0xZZ"|}
+                  ^ String.sub l (i + n) (String.length l - i - n)
+                else at (i + 1)
+              in
+              at 0
+            in
+            let oc = open_out_bin path in
+            output_string oc
+              (String.concat "\n" (List.mapi (fun i l -> if i = 1 then garble l else l) lines));
+            close_out oc;
+            match Persist.Journal.load ~dir with
+            | _ -> Alcotest.fail "loaded a journal with a garbled float"
             | exception Persist.Journal.Corrupt _ -> ()));
     t "snapshot round-trips atomically" (fun () ->
         with_dir (fun dir ->

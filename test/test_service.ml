@@ -189,6 +189,13 @@ let store_tests =
 (* ------------------------------------------------------------------ *)
 (* Wire protocol codec                                                 *)
 
+(* a submit whose quota is a string but not a float: valid JSON, so only
+   the spec decoder can reject it *)
+let garbled_submit =
+  {|{"cmd":"submit","spec":{"model":"funarc","algo":"delta_debug","seed":42,"workers":0,|}
+  ^ {|"max_variants":null,"whole_model":false,"quota_hours":"0xZZ","faults":null,|}
+  ^ {|"tenant":"default","priority":1}}|}
+
 let proto_tests =
   [
     t "requests round-trip through the wire encoding" (fun () ->
@@ -234,11 +241,70 @@ let proto_tests =
           [ Service.Job.Running; Service.Job.Done; Service.Job.Failed "cancelled" ];
         Alcotest.(check bool) "non-events ignored" true
           (Service.Proto.event_of_json (Persist.Json.parse {|{"ok":true}|}) = None));
+    t "a garbled float is an error, not an exception" (fun () ->
+        (match Service.Proto.request_of_string garbled_submit with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "accepted a garbled quota");
+        Alcotest.(check bool) "garbled event rejected" true
+          (Service.Proto.event_of_json
+             (Persist.Json.parse {|{"job":"j001","state":"done","hours":"0xZZ"}|})
+           = None));
     t "ok/error envelopes" (fun () ->
         Alcotest.(check bool) "ok" true (Service.Proto.is_ok (Service.Proto.ok []));
         let e = Service.Proto.error "boom" in
         Alcotest.(check bool) "not ok" false (Service.Proto.is_ok e);
         Alcotest.(check string) "message" "boom" (Service.Proto.error_of e));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The live server                                                     *)
+
+let server_tests =
+  [
+    t "the server answers a garbled submit and keeps serving" (fun () ->
+        Harness.with_dir (fun root ->
+            (* the server runs in a child process, as [prose serve] does,
+               and is drained with SIGTERM; exit code 3 means it died *)
+            let pid =
+              match Unix.fork () with
+              | 0 ->
+                (try
+                   ignore (Service.Server.run ~log:ignore ~root ~slots:0 ());
+                   Unix._exit 0
+                 with _ -> Unix._exit 3)
+              | pid -> pid
+            in
+            let status = ref (Unix.WEXITED 0) in
+            let reply, jobs =
+              Fun.protect
+                ~finally:(fun () ->
+                  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+                  status := snd (Unix.waitpid [] pid))
+                (fun () ->
+                  let deadline = Unix.gettimeofday () +. 60.0 in
+                  let rec connect () =
+                    match Service.Proto.connect ~root with
+                    | Some conn -> conn
+                    | None when Unix.gettimeofday () < deadline ->
+                      Unix.sleepf 0.02;
+                      connect ()
+                    | None -> Alcotest.fail "the server never listened"
+                  in
+                  let ic, oc = connect () in
+                  output_string oc (garbled_submit ^ "\n");
+                  flush oc;
+                  let reply = Service.Proto.recv ic in
+                  close_in_noerr ic;
+                  (reply, Service.Proto.roundtrip ~root Service.Proto.Jobs))
+            in
+            (match reply with
+            | Some j -> Alcotest.(check bool) "answered ok:false" false (Service.Proto.is_ok j)
+            | None -> Alcotest.fail "no answer to the garbled submit");
+            (match jobs with
+            | Some (Ok _) -> ()
+            | Some (Error m) -> Alcotest.failf "jobs after the garbled submit: %s" m
+            | None -> Alcotest.fail "the server stopped serving");
+            Alcotest.(check bool) "drained cleanly" true (!status = Unix.WEXITED 0)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -872,6 +938,7 @@ let () =
       ("job", job_tests);
       ("store", store_tests);
       ("proto", proto_tests);
+      ("server", server_tests);
       ("fair", fair_unit_tests @ [ qt fairness_prop; qt weighted_fairness_prop ]);
       ("sched", sched_tests);
       ("campaign-discovery", find_campaign_tests);
