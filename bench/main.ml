@@ -586,8 +586,7 @@ and predict_suite ~config ?workers () =
     { config with Core.Config.seed = 99; max_variants = Some 100_000 }
   in
   let is_static (r : Search.Variant.record) =
-    let d = r.Search.Variant.meas.Search.Variant.detail in
-    String.length d >= 6 && String.sub d 0 6 = "static"
+    r.Search.Variant.meas.Search.Variant.detail = "static-filter"
   in
   let dynamic_evals c =
     List.length (List.filter (fun r -> not (is_static r)) c.Core.Tuner.records)

@@ -392,12 +392,8 @@ type campaign = {
 
 (* Static-filter rejections never reach the cluster, so no fault can
    touch them and they cost no simulated node time; every fault-accounting
-   site must agree with [faulted_evaluate]. The prefix test also covers
-   the "static: bound" losses of journals written by the removed prune
-   mode. *)
-let off_cluster (m : Variant.measurement) =
-  let d = m.Variant.detail in
-  String.length d >= 6 && String.sub d 0 6 = "static"
+   site must agree with [faulted_evaluate]. *)
+let off_cluster (m : Variant.measurement) = m.Variant.detail = "static-filter"
 
 (* The per-procedure cache keys evaluating [asg] requests from
    [Lower.Cache] and [Compile.Cache], derived statically (rewrite +
