@@ -747,10 +747,11 @@ let execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~p
           Fun.protect ~finally:(fun () -> note_sched sh) (fun () -> f None (Some sh)))
   in
   let dd_config = { Delta_debug.error_threshold = p.threshold; perf_floor = p.perf_floor } in
-  (* rank demotes predicted-fail ddmin candidates with the Sensitivity.Rank evidence engine. Evidence is
-     fed from committed records in consumption order — identical at every
-     worker/shard/slice count and under resume — so the steered
-     trajectory is deterministic (DESIGN.md §13) *)
+  (* rank demotes predicted-fail ddmin candidates with the
+     Sensitivity.Rank evidence engine. Evidence is fed from committed
+     records in consumption order — identical at every worker/shard/slice
+     count and under resume — so the steered trajectory is deterministic
+     (DESIGN.md §13) *)
   let ranker =
     match p.scorer with
     | Some sc ->
