@@ -693,7 +693,7 @@ let () =
     [
       ("scorer", scorer_tests);
       ("golden", golden_tests);
-      ("output golden", output_golden_tests);
+      ("digests", output_golden_tests);
       ("errvec", errvec_tests);
       ("rank engine", rank_engine_tests);
       ("campaigns", campaign_tests);
